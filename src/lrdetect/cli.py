@@ -80,10 +80,36 @@ def _parse_pairs(raw) -> tuple[tuple[int, int], ...]:
     return tuple((int(a), int(b)) for a, b in raw)
 
 
+# Keys a study JSON config may hold; anything else is a typo, not a default.
+STUDY_CONFIG_KEYS = frozenset(
+    {
+        "master_seed",
+        "seed",
+        "scale",
+        "scenario",
+        "out_dir",
+        "workers",
+        "replications",
+        "lengths",
+        "hurst_grid",
+        "variance_cutoffs",
+        "gph_cutoffs",
+        "psi",
+        "level_seed",
+        "alpha",
+    }
+)
+
+
 def _study_config(args) -> tuple[StudyConfig, Path]:
     file_cfg = {}
     if args.config is not None:
         file_cfg = json.loads(Path(args.config).read_text())
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"{args.config}: expected a JSON object of study settings")
+        unknown = sorted(set(file_cfg) - STUDY_CONFIG_KEYS)
+        if unknown:
+            raise ConfigError(f"{args.config}: unknown study setting(s): {', '.join(unknown)}")
 
     def pick(flag_value, *keys, default=None):
         if flag_value is not None:
@@ -134,7 +160,6 @@ def _study_config(args) -> tuple[StudyConfig, Path]:
         alpha=float(pick(args.alpha, "alpha", default=1.0)),
         workers=int(workers),
     )
-    cfg.validate()
     return cfg, Path(out_dir)
 
 

@@ -149,39 +149,44 @@ def _embedding_amplitudes(params: FgnParams) -> np.ndarray:
     return amplitudes
 
 
-def simulate_fgn(params: FgnParams, seed: int) -> TimeSeries:
-    """Sample one fGN path by circulant embedding, exact in distribution.
+def simulate_fgn_paths(params: FgnParams, seeds) -> np.ndarray:
+    """Sample one fGN path per seed by circulant embedding; row i belongs to seeds[i].
 
     The covariance circulant of size 2(n-1) is diagonalized by the FFT; its
-    eigenvalue spectrum scales independent complex Gaussians, so the returned
-    path carries exactly the target finite-dimensional law.  Identical
-    (params, seed) reproduce identical output.
+    eigenvalue spectrum scales independent complex Gaussians, so every row
+    carries exactly the target finite-dimensional law.  Each seed draws from
+    its own generator and one FFT along the rows transforms them all, so a
+    row does not depend on the other seeds.
     """
-    rng = _rng_for(seed)
     n = params.n
+    if n == 1:
+        draws = np.array([_standard_normals(_rng_for(seed), 1)[0] for seed in seeds])
+        return (math.sqrt(params.sigma2) * draws).reshape(-1, 1)
+
+    amplitudes = _embedding_amplitudes(params)
+    m = amplitudes.size  # 2(n-1)
+    seeds = list(seeds)
+    w = np.empty((len(seeds), m), dtype=np.complex128)
+    for row, seed in zip(w, seeds):
+        draws = _standard_normals(_rng_for(seed), m)
+        row[0] = draws[0]
+        row[n - 1] = draws[1]
+        row[1 : n - 1] = (draws[2::2] + 1j * draws[3::2]) / math.sqrt(2.0)
+    np.conjugate(w[:, n - 2 : 0 : -1], out=w[:, n:])
+    return np.fft.fft(amplitudes * w, axis=1).real[:, :n] / math.sqrt(m)
+
+
+def simulate_fgn(params: FgnParams, seed: int) -> TimeSeries:
+    """Sample one fGN path, exact in distribution; identical (params, seed)
+    reproduce identical output."""
     provenance = {
         "model": "fgn",
         "hurst": params.hurst,
         "sigma2": params.sigma2,
-        "n": n,
+        "n": params.n,
         "seed": int(seed),
     }
-    if n == 1:
-        value = math.sqrt(params.sigma2) * float(_standard_normals(rng, 1)[0])
-        return TimeSeries([value], provenance=provenance)
-
-    amplitudes = _embedding_amplitudes(params)
-    m = amplitudes.size  # 2(n-1)
-    draws = _standard_normals(rng, m)
-    w = np.empty(m, dtype=np.complex128)
-    w[0] = draws[0]
-    w[n - 1] = draws[1]
-    if n > 2:
-        pairs = draws[2:].reshape(n - 2, 2)
-        w[1 : n - 1] = (pairs[:, 0] + 1j * pairs[:, 1]) / math.sqrt(2.0)
-        w[n:] = np.conj(w[1 : n - 1][::-1])
-    path = np.fft.fft(amplitudes * w).real[:n] / math.sqrt(m)
-    return TimeSeries(path, provenance=provenance)
+    return TimeSeries(simulate_fgn_paths(params, [seed])[0], provenance=provenance)
 
 
 def fbm_from_fgn(noise: TimeSeries) -> TimeSeries:

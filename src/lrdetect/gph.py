@@ -59,21 +59,33 @@ class Periodogram:
         object.__setattr__(self, "ordinates", ords)
 
 
-def full_ordinates(x: TimeSeries) -> np.ndarray:
-    """Periodogram ordinates I(2*pi*j/n) for every index j = 0..n-1.
+def ordinate_rows(values: np.ndarray) -> np.ndarray:
+    """Periodogram ordinates I(2*pi*j/n) for every index j = 0..n-1, per row.
 
     I(lambda) = |sum_k x(k) e^{-ik*lambda}|^2 / (2*pi*n), computed from one
-    real FFT; indices past the Nyquist fold back via I_j = I_{n-j}.
+    real FFT along the rows; indices past the Nyquist fold back via
+    I_j = I_{n-j}.
     """
-    v = x.values
-    n = v.size
+    values = np.asarray(values, dtype=np.float64)
+    n = values.shape[1]
     if n < 2:
         raise ValueError("periodogram needs at least 2 samples")
-    half = np.abs(np.fft.rfft(v)) ** 2 / (2.0 * np.pi * n)
-    out = np.empty(n)
-    out[: half.size] = half
-    out[half.size :] = half[1 : n - half.size + 1][::-1]
+    half = np.abs(np.fft.rfft(values, axis=1)) ** 2 / (2.0 * np.pi * n)
+    size = half.shape[1]
+    out = np.empty(values.shape)
+    out[:, :size] = half
+    out[:, size:] = half[:, n - size : 0 : -1]
     return out
+
+
+def full_ordinates(x: TimeSeries) -> np.ndarray:
+    """Periodogram ordinates of one series at every index j = 0..n-1."""
+    return ordinate_rows(x.values[None, :])[0]
+
+
+def gph_regressors(indices: np.ndarray, n: int) -> np.ndarray:
+    """Regressors -2*log(lambda_j) of the log-periodogram regression, lambda_j = 2*pi*j/n."""
+    return -2.0 * np.log(2.0 * np.pi * indices / n)
 
 
 def periodogram(x: TimeSeries) -> Periodogram:
@@ -105,8 +117,7 @@ def gph_from_ordinates(ordinates: np.ndarray, n: int, cfg: GphConfig) -> Regress
         raise ZeroPeriodogramOrdinate(
             f"zero ordinate at frequency indices {zero_at.tolist()}"
         )
-    regressors = -2.0 * np.log(2.0 * np.pi * indices / n)
-    return ols_slope(regressors, np.log(used))
+    return ols_slope(gph_regressors(indices, n), np.log(used))
 
 
 def gph_estimate(x: TimeSeries, cfg: GphConfig) -> RegressionFit:

@@ -8,9 +8,11 @@ the resolved configuration is deterministic, including across worker counts.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -20,15 +22,22 @@ import numpy as np
 
 from .errors import ConfigError
 from .excursion import QuantileMeasure, draw_levels, resolve_quantiles, transform_series
-from .fgn import FgnParams, SubordinationParams, simulate_fgn, subordinate
-from .gph import full_ordinates
+from .fgn import FgnParams, simulate_fgn_paths
+from .gph import gph_regressors, ordinate_rows
 from .series import TimeSeries
-from .varplot import block_mean_variances
+from .varplot import block_variance_rows
 
 SCENARIOS = ("fgn", "subordinated-fgn")
 
 _SCENARIO_CODE = {"fgn": 0, "subordinated-fgn": 1}
 _LEVELS_STREAM = 2  # entropy tag separating the level panel from path seeds
+
+# Float64 elements that bound one cell's normals (rows x 2n), and one block
+# of window weights (segments x windows) and of slopes (rows x windows).
+_CHUNK = 1 << 16
+
+# Largest accepted worker count; the pool itself never exceeds the CPU count.
+MAX_WORKERS = 64
 
 # Metric CSV columns, fixed so study outputs are machine-comparable.
 CSV_COLUMNS = (
@@ -142,8 +151,8 @@ class StudyConfig:
             raise ConfigError("psi must be >= 1")
         if not self.alpha > 0:
             raise ConfigError("alpha must be positive")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ConfigError(f"workers must lie in [1, {MAX_WORKERS}], got {self.workers}")
         grid = self.hurst_grid if self.hurst_grid is not None else default_hurst_grid(self.scenario)
         if not grid or any(not 0.0 < h < 1.0 for h in grid):
             raise ConfigError("hurst grid values must lie strictly in (0, 1)")
@@ -234,140 +243,230 @@ class MetricsReport:
         return self.tn / negatives if negatives else math.nan
 
 
-def _prefix(values: np.ndarray) -> np.ndarray:
-    out = np.empty(values.size + 1)
-    out[0] = 0.0
-    np.cumsum(values, out=out[1:])
+class WindowGrid:
+    """Least-squares slopes of many rows over many windows of one regressor.
+
+    ``windows`` holds inclusive (start, stop) positions into ``xs``, at least
+    two positions each.  All
+    window endpoints cut the regressor into segments; each row reduces to
+    per-segment sums Y_s = sum y_j and C_s = sum (x_j - a_s) y_j, where the
+    anchor a_s is the segment's first regressor value.  Window w's slope is
+
+        (sum_s C_s + sum_s (a_s - xbar_w - r_w) Y_s) / Sxx_w
+
+    over its segments.  a_s - xbar_w subtracts two values inside the window's
+    range, so it loses no digits, and the rounding residual r_w of the window
+    mean xbar_w is kept as a separate term, so the weights sum to zero.  This
+    matches ``ols_slope`` to ~1e-12 relative even for narrow windows far from
+    the origin, where differences of prefix sums cancel catastrophically.
+
+    Only per-window scalars are stored; the (segments x windows) membership
+    and weight blocks, at most ``_CHUNK`` elements each, are rebuilt on use.
+    """
+
+    def __init__(self, xs, windows):
+        xs = np.asarray(xs, dtype=np.float64)
+        windows = np.asarray(windows, dtype=np.int64).reshape(-1, 2)
+        starts, stops = windows[:, 0], windows[:, 1] + 1
+        cuts = np.unique(np.concatenate([starts, stops]))
+        sizes = np.diff(cuts)
+        self.size = windows.shape[0]
+        self._span = slice(int(cuts[0]), int(cuts[-1]))
+        self._cuts = cuts[:-1] - cuts[0]
+        self._first = np.searchsorted(cuts, starts)
+        self._stop = np.searchsorted(cuts, stops)
+        self._anchors = xs[cuts[:-1]]
+        self._offsets = xs[self._span] - np.repeat(self._anchors, sizes)
+
+        sums = np.add.reduceat(self._offsets, self._cuts)
+        squares = np.add.reduceat(self._offsets * self._offsets, self._cuts)
+        sizes = sizes.astype(np.float64)
+        counts = (stops - starts).astype(np.float64)
+        self._mean = np.empty(self.size)
+        self._residual = np.zeros(self.size)
+        self._sxx = np.empty(self.size)
+        for cols, segs, inside in self._blocks(1):
+            block = inside.astype(np.float64)
+            self._mean[cols] = ((sizes[segs] * self._anchors[segs] + sums[segs]) @ block) / counts[cols]
+            offset_sums = sums[segs] @ block
+            offset_squares = squares[segs] @ block
+            deviations = self._weights(cols, segs, inside, out=block)  # r_w is still 0 here
+            self._residual[cols] = (offset_sums + sizes[segs] @ deviations) / counts[cols]
+            weights = self._weights(cols, segs, inside, out=block)
+            self._sxx[cols] = offset_squares + 2.0 * (sums[segs] @ weights) + sizes[segs] @ (weights * weights)
+
+    def _blocks(self, rows: int):
+        """(window slice, segment slice, boolean membership) blocks; neither the
+        membership nor the slopes of ``rows`` rows exceed _CHUNK elements."""
+        step = max(1, _CHUNK // max(self._cuts.size, rows))
+        for start in range(0, self.size, step):
+            cols = slice(start, min(start + step, self.size))
+            segs = slice(int(self._first[cols].min()), int(self._stop[cols].max()))
+            index = np.arange(segs.start, segs.stop)[:, None]
+            yield cols, segs, (index >= self._first[cols]) & (index < self._stop[cols])
+
+    def _weights(self, cols, segs, inside, out):
+        """Per-segment weights a_s - xbar_w - r_w, zero outside each window, written to ``out``."""
+        np.subtract(self._anchors[segs, None], self._mean[cols], out=out)
+        out -= self._residual[cols]
+        out *= inside
+        return out
+
+    def slope_blocks(self, ys):
+        """Yield (window slice, slopes of every row there), one bounded block at a time.
+
+        A window's slope is NaN in rows with a non-finite value inside it.
+        """
+        values = np.asarray(ys, dtype=np.float64)[:, self._span]
+        bad = ~np.isfinite(values)
+        flagged = None
+        if bad.any():
+            values = np.where(bad, 0.0, values)
+            per_segment = np.add.reduceat(bad, self._cuts, axis=1, dtype=np.int64)
+            prefix = np.zeros((values.shape[0], self._cuts.size + 1), dtype=np.int64)
+            np.cumsum(per_segment, axis=1, out=prefix[:, 1:])
+            flagged = prefix[:, self._stop] > prefix[:, self._first]
+        sums = np.add.reduceat(values, self._cuts, axis=1)
+        moments = np.add.reduceat(values * self._offsets, self._cuts, axis=1)
+        for cols, segs, inside in self._blocks(values.shape[0]):
+            # one float block, first the 0/1 membership, then the weights:
+            # a second block-sized array would double the memory churned per call
+            block = inside.astype(np.float64)
+            slopes = moments[:, segs] @ block
+            slopes += sums[:, segs] @ self._weights(cols, segs, inside, out=block)
+            slopes /= self._sxx[cols]
+            if flagged is not None:
+                slopes[flagged[:, cols]] = np.nan
+            yield cols, slopes
+
+    def slopes(self, ys) -> np.ndarray:
+        """Slopes of every row (axis 0 of ``ys``) over every window, shape (rows, windows)."""
+        ys = np.asarray(ys, dtype=np.float64)
+        out = np.empty((ys.shape[0], self.size))
+        for cols, slopes in self.slope_blocks(ys):
+            out[:, cols] = slopes
+        return out
+
+
+def pool_size(workers: int, cells: int) -> int:
+    """Processes for a study pool: no more than asked for, than CPUs, or than cells."""
+    return max(1, min(workers, os.cpu_count() or 1, cells))
+
+
+@dataclass(frozen=True)
+class _LengthKernel:
+    """Both cutoff grids of one series length as window regressions.
+
+    The variance windows regress log S_l^2 on log l over block lengths
+    lmin..lmax; the GPH windows regress log I(lambda_j) on -2 log lambda_j
+    over frequency indices 1..n-1.
+    """
+
+    lmin: int
+    lmax: int
+    variance: WindowGrid
+    gph: WindowGrid
+
+    @classmethod
+    def build(cls, n: int, var_grid: np.ndarray, gph_grid: np.ndarray) -> "_LengthKernel":
+        lmin, lmax = int(var_grid[:, 0].min()), int(var_grid[:, 1].max())
+        lengths = np.arange(lmin, lmax + 1, dtype=np.float64)
+        return cls(
+            lmin,
+            lmax,
+            WindowGrid(np.log(lengths), var_grid - lmin),
+            WindowGrid(gph_regressors(np.arange(1, n), n), gph_grid - 1),
+        )
+
+
+def _excursion_rows(squares: np.ndarray, levels: QuantileMeasure) -> np.ndarray:
+    """Excursion-count transform of each row of y^2.
+
+    The subordinated process exp(y^2 / (2 alpha)) rises strictly with y^2, and
+    the transform is invariant under strictly increasing maps, so transforming
+    y^2 gives its labels for every alpha > 0 without overflowing.
+    """
+    out = np.empty_like(squares)
+    for i, row in enumerate(squares):
+        series = TimeSeries(row)
+        out[i] = transform_series(series, resolve_quantiles(series, levels)).values
     return out
 
 
-def _window_slopes(
-    xs: np.ndarray, ys: np.ndarray, bad: np.ndarray, windows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """OLS slopes of ys on xs over many inclusive index windows at once.
-
-    ``windows`` holds (start, stop) positions into the value arrays.  Entries
-    flagged ``bad`` poison every window containing them (second return value
-    False there).  Matches ``ols_slope`` to ~1e-10 relative; any window for
-    which that difference could flip a classification would have its slope
-    exactly on the decision threshold, which has probability zero for
-    continuous data.
-    """
-    px = _prefix(xs)
-    pxx = _prefix(xs * xs)
-    py = _prefix(ys)
-    pxy = _prefix(xs * ys)
-    pbad = _prefix(bad.astype(np.float64))
-    a = windows[:, 0]
-    b = windows[:, 1] + 1
-    count = (b - a).astype(np.float64)
-    sx = px[b] - px[a]
-    sy = py[b] - py[a]
-    sxx = pxx[b] - pxx[a]
-    sxy = pxy[b] - pxy[a]
-    denom = sxx - sx * sx / count
-    with np.errstate(invalid="ignore", divide="ignore"):
-        slopes = (sxy - sx * sy / count) / denom
-    ok = (pbad[b] - pbad[a]) == 0.0
-    return slopes, ok
+def _tally(grid: WindowGrid, logs: np.ndarray, threshold: float) -> np.ndarray:
+    """Per window, how many rows are labelled [non-LRD, LRD, skip]; LRD iff slope > threshold."""
+    counts = np.empty((grid.size, 3), dtype=np.int64)
+    for cols, slopes in grid.slope_blocks(logs):
+        lrd = np.count_nonzero(slopes > threshold, axis=0)
+        skips = np.count_nonzero(np.isnan(slopes), axis=0)
+        counts[cols] = np.column_stack([logs.shape[0] - lrd - skips, lrd, skips])
+    return counts
 
 
-def _variance_labels(series: TimeSeries, grid: np.ndarray) -> np.ndarray:
-    """Classification per variance window: 1 = LRD, 0 = non-LRD, 2 = skip."""
-    lmin = int(grid[:, 0].min())
-    lmax = int(grid[:, 1].max())
-    curve = block_mean_variances(series, lmin, lmax)
-    bad = curve.s2 == 0.0
-    logs2 = np.log(np.where(bad, 1.0, curve.s2))
-    logl = np.log(curve.lengths.astype(np.float64))
-    slopes, ok = _window_slopes(logl, logs2, bad, grid - lmin)
-    labels = np.where(slopes > -1.0, 1, 0).astype(np.int8)
-    labels[~ok] = 2
-    return labels
-
-
-def _gph_labels(series: TimeSeries, grid: np.ndarray, ordinates: np.ndarray) -> np.ndarray:
-    """Classification per frequency window: 1 = LRD, 0 = non-LRD, 2 = skip."""
-    n = series.n
-    indices = np.arange(1, n)
-    bad = ordinates[1:] == 0.0
-    logi = np.log(np.where(bad, 1.0, ordinates[1:]))
-    regressors = -2.0 * np.log(2.0 * np.pi * indices / n)
-    slopes, ok = _window_slopes(regressors, logi, bad, grid - 1)
-    labels = np.where(slopes > 0.0, 1, 0).astype(np.int8)
-    labels[~ok] = 2
-    return labels
-
-
-def _study_series(cfg: StudyConfig, levels: QuantileMeasure | None, n: int, h_index: int, rep: int) -> TimeSeries:
-    hurst = cfg.resolved_hurst_grid()[h_index]
-    seed = replication_seed(cfg.master_seed, cfg.scenario, h_index, rep)
-    path = simulate_fgn(FgnParams(hurst=hurst, n=n), seed)
-    if cfg.scenario == "fgn":
-        return path
-    heavy = subordinate(path, SubordinationParams(cfg.alpha))
-    return transform_series(heavy, resolve_quantiles(heavy, levels))
-
-
-def _evaluate_item(
+def _cell_counts(
     cfg: StudyConfig,
     levels: QuantileMeasure | None,
-    n: int,
-    var_grid: np.ndarray,
-    gph_grid: np.ndarray,
-    item: tuple[int, int],
+    kernels: dict[int, _LengthKernel],
+    cell: tuple[int, int, int, int],
 ) -> tuple[np.ndarray, np.ndarray]:
-    h_index, rep = item
-    series = _study_series(cfg, levels, n, h_index, rep)
-    return (
-        _variance_labels(series, var_grid),
-        _gph_labels(series, gph_grid, full_ordinates(series)),
-    )
+    """Label counts of both estimators over one cell: replications first..stop-1
+    of one Hurst value at length n, simulated and classified as one batch."""
+    n, h_index, first, stop = cell
+    seeds = [replication_seed(cfg.master_seed, cfg.scenario, h_index, rep) for rep in range(first, stop)]
+    rows = simulate_fgn_paths(FgnParams(hurst=cfg.resolved_hurst_grid()[h_index], n=n), seeds)
+    if levels is not None:
+        rows = _excursion_rows(rows * rows, levels)
+    kernel = kernels[n]
+    # zero block variances and ordinates become -inf: their windows are skips
+    with np.errstate(divide="ignore"):
+        var_logs = np.log(block_variance_rows(rows, kernel.lmin, kernel.lmax))
+        gph_logs = np.log(ordinate_rows(rows)[:, 1:])
+    return _tally(kernel.variance, var_logs, -1.0), _tally(kernel.gph, gph_logs, 0.0)
 
 
 def run_study(cfg: StudyConfig) -> list[MetricsReport]:
     """Run the full grid and return one report per (estimator, cutoff, length).
 
-    Replications are independent work items; with ``cfg.workers > 1`` they are
-    distributed over a process pool and merged in work-item order, so output
-    is identical for every worker count.
+    The work splits into cells of one length, one Hurst value and a chunk of
+    at most ``_CHUNK // 2n`` replications.  With ``cfg.workers > 1`` cells are
+    spread over a process pool; their integer label counts are summed, so
+    output is identical for every worker count.
     """
     cfg.validate()
     hurst_grid = cfg.resolved_hurst_grid()
     levels = None
     if cfg.scenario == "subordinated-fgn":
         levels = draw_levels(cfg.psi, cfg.resolved_level_seed())
+    truths = [int(ground_truth_label(cfg.scenario, h) == "LRD") for h in hurst_grid]
+    grids = {n: cfg.grids_for(n) for n in cfg.lengths}
+    kernels = {n: _LengthKernel.build(n, *grids[n]) for n in cfg.lengths}
+    cells = []
+    for n in cfg.lengths:
+        rows = max(1, _CHUNK // (2 * n))
+        cells += [
+            (n, h_index, first, min(first + rows, cfg.replications))
+            for h_index in range(len(hurst_grid))
+            for first in range(0, cfg.replications, rows)
+        ]
+    # counts[n][estimator][window, truth, label]
+    counts = {
+        n: tuple(np.zeros((grid.shape[0], 2, 3), dtype=np.int64) for grid in grids[n])
+        for n in cfg.lengths
+    }
+    evaluate = partial(_cell_counts, cfg, levels, kernels)
+    size = pool_size(cfg.workers, len(cells))
+    with ProcessPoolExecutor(max_workers=size) if size > 1 else contextlib.nullcontext() as pool:
+        if pool is None:
+            results = map(evaluate, cells)
+        else:
+            results = pool.map(evaluate, cells, chunksize=max(1, len(cells) // (size * 4)))
+        for (n, h_index, _, _), cell_counts in zip(cells, results):
+            for total, part in zip(counts[n], cell_counts):
+                total[:, truths[h_index]] += part
 
-    truths = np.array(
-        [ground_truth_label(cfg.scenario, h) == "LRD" for h in hurst_grid], dtype=bool
-    )
     reports: list[MetricsReport] = []
     for n in cfg.lengths:
-        var_grid, gph_grid = cfg.grids_for(n)
-        items = [(h, r) for h in range(len(hurst_grid)) for r in range(cfg.replications)]
-        evaluate = partial(_evaluate_item, cfg, levels, n, var_grid, gph_grid)
-        # counts[estimator][pair, truth, label]
-        var_counts = np.zeros((var_grid.shape[0], 2, 3), dtype=np.int64)
-        gph_counts = np.zeros((gph_grid.shape[0], 2, 3), dtype=np.int64)
-        if cfg.workers > 1:
-            chunk = max(1, len(items) // (cfg.workers * 8))
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                results = pool.map(evaluate, items, chunksize=chunk)
-                for (h_index, _), (var_labels, gph_labels) in zip(items, results):
-                    truth = int(truths[h_index])
-                    np.add.at(var_counts[:, truth, :], (np.arange(var_grid.shape[0]), var_labels), 1)
-                    np.add.at(gph_counts[:, truth, :], (np.arange(gph_grid.shape[0]), gph_labels), 1)
-        else:
-            for item in items:
-                var_labels, gph_labels = evaluate(item)
-                truth = int(truths[item[0]])
-                np.add.at(var_counts[:, truth, :], (np.arange(var_grid.shape[0]), var_labels), 1)
-                np.add.at(gph_counts[:, truth, :], (np.arange(gph_grid.shape[0]), gph_labels), 1)
-
-        for estimator, grid, counts in (
-            ("variance", var_grid, var_counts),
-            ("gph", gph_grid, gph_counts),
-        ):
+        for estimator, grid, tally in zip(("variance", "gph"), grids[n], counts[n]):
             for idx in range(grid.shape[0]):
                 reports.append(
                     MetricsReport(
@@ -375,11 +474,11 @@ def run_study(cfg: StudyConfig) -> list[MetricsReport]:
                         n1=int(grid[idx, 0]),
                         n2=int(grid[idx, 1]),
                         series_length=n,
-                        tp=int(counts[idx, 1, 1]),
-                        fp=int(counts[idx, 0, 1]),
-                        tn=int(counts[idx, 0, 0]),
-                        fn=int(counts[idx, 1, 0]),
-                        skips=int(counts[idx, 0, 2] + counts[idx, 1, 2]),
+                        tp=int(tally[idx, 1, 1]),
+                        fp=int(tally[idx, 0, 1]),
+                        tn=int(tally[idx, 0, 0]),
+                        fn=int(tally[idx, 1, 0]),
+                        skips=int(tally[idx, 0, 2] + tally[idx, 1, 2]),
                     )
                 )
     return reports
@@ -446,14 +545,15 @@ def write_study_outputs(cfg: StudyConfig, reports: list[MetricsReport], out_dir)
 
 
 def read_report_csv(path) -> list[MetricsReport]:
-    """Read back a study metrics CSV; series length is parsed from the name."""
+    """Read back a study metrics CSV; series length is parsed from the name.
+
+    The name must end in ``_n<length>``, as ``write_study_outputs`` writes it.
+    """
     path = Path(path)
-    length = 0
-    stem = path.stem
-    if "_n" in stem:
-        tail = stem.rsplit("_n", 1)[1]
-        if tail.isdigit():
-            length = int(tail)
+    _, marker, tail = path.stem.rpartition("_n")
+    if not marker or not tail.isdigit():
+        raise ValueError(f"{path}: file name lacks the series length suffix _n<digits>")
+    length = int(tail)
     reports = []
     with path.open(newline="") as fh:
         for row in csv.DictReader(fh):

@@ -99,27 +99,40 @@ class BlockVarianceCurve:
         return self.lengths[self.s2 == 0.0]
 
 
-def block_mean_variances(x: TimeSeries, n1: int, n2: int) -> BlockVarianceCurve:
-    """Variance of overlapping block means for every block length l in [n1, n2].
+def block_variance_rows(values: np.ndarray, n1: int, n2: int) -> np.ndarray:
+    """Variance of overlapping block means for every block length l in [n1, n2], per row.
 
-    For each l the n - l + 1 overlapping blocks (x(k), ..., x(k+l-1)) are
-    averaged and their population variance around the mean of all block means
-    is returned.  A single prefix-sum pass over the centered series makes each
-    length O(n); centering costs nothing (the statistic is shift-invariant)
-    and keeps the prefix sums from growing.
+    For each row and each l the n - l + 1 overlapping blocks (x(k), ...,
+    x(k+l-1)) are averaged and their population variance around the mean of
+    all block means is returned; column i holds length n1 + i.  One
+    prefix-sum pass over the centered rows makes each length one array pass
+    over all rows; centering costs nothing (the statistic is shift-invariant)
+    and keeps the prefix sums from growing.  Every row is computed as if it
+    were alone.
     """
+    values = np.asarray(values, dtype=np.float64)
+    rows, n = values.shape
     if n1 < 1 or n2 < n1:
         raise ValueError(f"need 1 <= n1 <= n2, got ({n1}, {n2})")
-    if n2 > x.n:
-        raise WindowExceedsSeries(f"n2={n2} exceeds series length {x.n}")
-    centered = x.values - math.fsum(x.values) / x.n
-    prefix = np.concatenate([[0.0], np.cumsum(centered)])
-    out = np.empty(n2 - n1 + 1)
+    if n2 > n:
+        raise WindowExceedsSeries(f"n2={n2} exceeds series length {n}")
+    means = np.array([math.fsum(row) / n for row in values])
+    prefix = np.zeros((rows, n + 1))
+    np.subtract(values, means[:, None], out=prefix[:, 1:])
+    np.cumsum(prefix[:, 1:], axis=1, out=prefix[:, 1:])
+    out = np.empty((rows, n2 - n1 + 1))
     for i, length in enumerate(range(n1, n2 + 1)):
-        means = (prefix[length:] - prefix[:-length]) / length
-        deviations = means - means.mean()
-        out[i] = (deviations @ deviations) / means.size
-    return BlockVarianceCurve(np.arange(n1, n2 + 1), out)
+        blocks = (prefix[:, length:] - prefix[:, :-length]) / length
+        count = blocks.shape[1]
+        deviations = blocks - np.add.reduce(blocks, axis=1, keepdims=True) / count
+        # stacked row dot products: bit-identical to one ddot per row
+        out[:, i] = (deviations[:, None, :] @ deviations[:, :, None])[:, 0, 0] / count
+    return out
+
+
+def block_mean_variances(x: TimeSeries, n1: int, n2: int) -> BlockVarianceCurve:
+    """Variances of overlapping block means of one series for block lengths n1..n2."""
+    return BlockVarianceCurve(np.arange(n1, n2 + 1), block_variance_rows(x.values[None, :], n1, n2)[0])
 
 
 def curve_slope(curve: BlockVarianceCurve) -> RegressionFit:

@@ -180,3 +180,36 @@ def test_study_rejects_invalid_cutoffs(tmp_path, capsys):
 def test_rank_on_missing_file(capsys):
     assert main(["rank", "/nonexistent/results.csv"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_study_rejects_unknown_config_keys_before_compute(tmp_path, capsys):
+    cfg_path = tmp_path / "typo.json"
+    cfg_path.write_text(json.dumps({"lenghts": [50], "replications": 2}))
+    out_dir = tmp_path / "out"
+    code = main(
+        [
+            "study",
+            "--config",
+            str(cfg_path),
+            "--seed",
+            "1",
+            "--scale",
+            "0.01",
+            "--scenario",
+            "fgn",
+            "--out-dir",
+            str(out_dir),
+            "--workers",
+            "1",
+        ]
+    )
+    assert code == 1
+    assert "lenghts" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_rank_rejects_results_name_without_length(tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    results.write_text("estimator,n1,n2,tp,fp,tn,fn,skips,accuracy,sensitivity,specificity\n")
+    assert main(["rank", str(results)]) == 1
+    assert str(results) in capsys.readouterr().err

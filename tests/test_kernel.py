@@ -1,0 +1,127 @@
+"""The study's batched kernel: exact window slopes and row functions that match the per-series ones."""
+
+import numpy as np
+import pytest
+
+from lrdetect import (
+    FgnParams,
+    StudyConfig,
+    block_mean_variances,
+    default_gph_grid,
+    default_variance_grid,
+    ols_slope,
+    run_study,
+    simulate_fgn,
+)
+from lrdetect import study
+from lrdetect.fgn import simulate_fgn_paths
+from lrdetect.gph import full_ordinates, gph_regressors, ordinate_rows
+from lrdetect.study import WindowGrid
+from lrdetect.varplot import block_variance_rows
+
+
+def _max_relative_error(xs, ys, windows):
+    """Largest |slope - ols_slope| / |ols_slope| over inclusive position windows."""
+    slopes = WindowGrid(xs, windows).slopes(ys[None, :])[0]
+    worst = 0.0
+    for (a, b), slope in zip(windows.tolist(), slopes):
+        ref = ols_slope(xs[a : b + 1], ys[a : b + 1]).slope
+        worst = max(worst, abs(slope - ref) / abs(ref))
+    return worst
+
+
+def _gph_window_sets(n):
+    """2-21-ordinate windows near the top index, the default grid, narrow low-frequency windows."""
+    stride = min(97, n // 50)
+    top = [(w - width, w) for w in range(n - 1, n - 1 - 10 * stride, -stride) for width in range(1, 21)]
+    default = default_gph_grid(n)
+    if n > 10_000:
+        # ols_slope costs ~35 ms per 2e5-point window: keep the narrow windows,
+        # where cancellation is worst, and every 20th of the wide ones.
+        stride = (n - 1) // 50
+        default = [
+            (l, w) for i, (l, w) in enumerate(default) if w - l <= 4 * stride or i % 20 == 0
+        ]
+    low = [(l, l + width) for l in range(1, 60, 7) for width in range(1, 21)]
+    return {"top": top, "default": default, "low": low}
+
+
+@pytest.mark.parametrize("n", [500, 10_000, 200_000])
+def test_window_slopes_match_ols_slope(n):
+    ordinates = full_ordinates(simulate_fgn(FgnParams(hurst=0.7, n=n), 11))
+    xs = gph_regressors(np.arange(1, n), n)
+    ys = np.log(ordinates[1:])
+    for name, pairs in _gph_window_sets(n).items():
+        # frequency index j sits at position j - 1
+        windows = np.asarray(pairs) - 1
+        assert _max_relative_error(xs, ys, windows) <= 1e-10, name
+    curve = block_mean_variances(simulate_fgn(FgnParams(hurst=0.7, n=n), 12), 1, 60)
+    windows = np.asarray(default_variance_grid(n)) - 1
+    err = _max_relative_error(np.log(curve.lengths.astype(np.float64)), np.log(curve.s2), windows)
+    assert err <= 1e-10
+
+
+def test_window_slopes_flag_nonfinite_rows():
+    xs = np.log(np.arange(1.0, 11.0))
+    ys = np.vstack([np.linspace(0.0, 1.0, 10), np.linspace(0.0, 1.0, 10)])
+    ys[1, 6] = -np.inf
+    slopes = WindowGrid(xs, [(0, 4), (2, 8), (7, 9)]).slopes(ys)
+    assert np.all(np.isfinite(slopes[0]))
+    assert np.isfinite(slopes[1, 0]) and np.isnan(slopes[1, 1]) and np.isfinite(slopes[1, 2])
+    assert slopes[1, 0] == slopes[0, 0]
+
+
+def test_batched_rows_match_per_series_functions():
+    params = FgnParams(hurst=0.65, n=300)
+    seeds = [3, 99, 12345, 7]
+    paths = simulate_fgn_paths(params, seeds)
+    curves = block_variance_rows(paths, 2, 40)
+    ordinates = ordinate_rows(paths)
+    for i, seed in enumerate(seeds):
+        series = simulate_fgn(params, seed)
+        assert np.array_equal(paths[i], series.values)
+        assert np.array_equal(curves[i], block_mean_variances(series, 2, 40).s2)
+        assert np.array_equal(ordinates[i], full_ordinates(series))
+    single = simulate_fgn_paths(FgnParams(hurst=0.3, n=1), [5, 6])
+    assert single.shape == (2, 1)
+    assert single[1, 0] == simulate_fgn(FgnParams(hurst=0.3, n=1), 6).values[0]
+
+
+@pytest.mark.parametrize("scenario", ["fgn", "subordinated-fgn"])
+def test_chunk_size_does_not_change_reports(monkeypatch, scenario):
+    cfg = StudyConfig(
+        scenario=scenario,
+        lengths=(60, 90),
+        replications=5,
+        master_seed=4,
+        variance_cutoffs=((1, 4), (2, 9), (1, 20), (3, 60)),
+        gph_cutoffs=((1, 12), (3, 40), (20, 59)),
+        psi=30,
+    )
+    reference = run_study(cfg)
+    monkeypatch.setattr(study, "_CHUNK", 97)
+    assert run_study(cfg) == reference
+
+
+def test_zero_variance_windows_and_constant_series_count_as_skips():
+    # a window ending at n2 = n has one block, hence zero variance
+    cfg = StudyConfig(
+        scenario="fgn",
+        lengths=(50,),
+        replications=3,
+        master_seed=8,
+        variance_cutoffs=((1, 10), (30, 50)),
+        gph_cutoffs=((1, 20),),
+    )
+    by_window = {(r.estimator, r.n1, r.n2): r for r in run_study(cfg)}
+    series = 3 * 12
+    assert by_window[("variance", 30, 50)].skips == series
+    assert by_window[("variance", 1, 10)].skips == 0
+    assert by_window[("gph", 1, 20)].skips == 0
+    constant = np.ones((1, 50))
+    with np.errstate(divide="ignore"):
+        var_logs = np.log(block_variance_rows(constant, 1, 8))
+        gph_logs = np.log(ordinate_rows(constant)[:, 1:])
+    grid = WindowGrid(np.log(np.arange(1.0, 9.0)), [(0, 3), (1, 7)])
+    assert np.all(np.isnan(grid.slopes(var_logs)))
+    assert np.all(np.isnan(WindowGrid(gph_regressors(np.arange(1, 50), 50), [(0, 9)]).slopes(gph_logs)))

@@ -20,8 +20,28 @@ from lrdetect import (
     variance_plot_slope,
     write_study_outputs,
 )
-from lrdetect.gph import full_ordinates
-from lrdetect.study import _gph_labels, _variance_labels
+from lrdetect.gph import full_ordinates, gph_regressors
+from lrdetect.study import MAX_WORKERS, WindowGrid, pool_size
+from lrdetect.varplot import block_mean_variances
+
+
+def _variance_labels(series, grid):
+    """Study labels per variance window through WindowGrid: 1 = LRD, 0 = non-LRD, 2 = skip."""
+    lmin, lmax = int(grid[:, 0].min()), int(grid[:, 1].max())
+    curve = block_mean_variances(series, lmin, lmax)
+    with np.errstate(divide="ignore"):
+        logs = np.log(curve.s2)
+    slopes = WindowGrid(np.log(curve.lengths.astype(np.float64)), grid - lmin).slopes(logs[None, :])[0]
+    return np.where(np.isnan(slopes), 2, np.where(slopes > -1.0, 1, 0))
+
+
+def _gph_labels(series, grid, ordinates):
+    """Study labels per frequency window through WindowGrid: 1 = LRD, 0 = non-LRD, 2 = skip."""
+    with np.errstate(divide="ignore"):
+        logs = np.log(ordinates[1:])
+    xs = gph_regressors(np.arange(1, series.n), series.n)
+    slopes = WindowGrid(xs, grid - 1).slopes(logs[None, :])[0]
+    return np.where(np.isnan(slopes), 2, np.where(slopes > 0.0, 1, 0))
 
 
 def small_cfg(**overrides):
@@ -138,6 +158,40 @@ def test_subordinated_metrics_invariant_in_alpha(tmp_path):
     assert outputs[1.0] == outputs[0.5]
 
 
+def test_subordinated_study_does_not_overflow_on_small_alpha():
+    # exp(y^2 / 0.02) overflows for |y| > 3.8; the study never forms it
+    reports = {}
+    for alpha in (1.0, 0.01):
+        cfg = StudyConfig(
+            "subordinated-fgn",
+            (500,),
+            20,
+            0,
+            alpha=alpha,
+            variance_cutoffs=((1, 10),),
+            gph_cutoffs=((1, 20),),
+        )
+        reports[alpha] = run_study(cfg)
+    assert reports[0.01] == reports[1.0]
+
+
+def test_worker_count_has_a_ceiling():
+    small_cfg(workers=MAX_WORKERS).validate()
+    with pytest.raises(ConfigError, match="workers"):
+        small_cfg(workers=MAX_WORKERS + 1).validate()
+
+
+def test_pool_size_is_bounded_by_cpus_and_cells(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    assert pool_size(1, 100) == 1
+    assert pool_size(2, 100) == 2
+    assert pool_size(64, 100) == 4
+    assert pool_size(64, 3) == 3
+    assert pool_size(8, 0) == 1
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert pool_size(8, 100) == 1
+
+
 def test_accuracy_improves_with_length():
     # pooled accuracy at the best variance cutoff: n=500 beats n=50 with 2pp slack
     cfg = StudyConfig(
@@ -222,3 +276,11 @@ def test_csv_round_trip(tmp_path):
             r.skips,
         )
         assert other.series_length == 80
+
+
+def test_read_report_csv_needs_length_in_name(tmp_path):
+    cfg = small_cfg()
+    source = write_study_outputs(cfg, run_study(cfg), tmp_path)[0]
+    renamed = source.rename(tmp_path / "results_fgn.csv")
+    with pytest.raises(ValueError, match="results_fgn.csv"):
+        read_report_csv(renamed)
