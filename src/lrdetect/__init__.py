@@ -24,7 +24,6 @@ from .excursion import (
     ie_pipeline,
     resolve_quantiles,
     transform_series,
-    write_threshold_csv,
 )
 from .fgn import (
     FgnParams,
@@ -36,6 +35,7 @@ from .fgn import (
     subordinate,
 )
 from .gph import (
+    GPH_LRD_THRESHOLD,
     GphConfig,
     Periodogram,
     classify_lrd_gph,
@@ -43,7 +43,6 @@ from .gph import (
     gph_estimate,
     gph_from_ordinates,
     periodogram,
-    write_periodogram_csv,
 )
 from .series import (
     RegressionFit,
@@ -67,6 +66,7 @@ from .study import (
     write_study_outputs,
 )
 from .varplot import (
+    VARIANCE_LRD_THRESHOLD,
     BlockVarianceCurve,
     VariancePlotConfig,
     admissible_delta_bound,
@@ -74,7 +74,6 @@ from .varplot import (
     classify_lrd_variance,
     curve_slope,
     variance_plot_slope,
-    write_curve_csv,
 )
 
 __version__ = "0.1.0"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -56,7 +57,7 @@ def _estimator_config(args):
 
 def _cmd_estimate(args) -> int:
     series = read_series_csv(args.input)
-    if args.quantile_transform:
+    if args.quantile_transform is not None:
         if args.level_seed is None:
             raise ConfigError("--quantile-transform requires --level-seed")
         levels = draw_levels(args.quantile_transform, args.level_seed)
@@ -76,32 +77,15 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _parse_pairs(raw) -> tuple[tuple[int, int], ...]:
-    return tuple((int(a), int(b)) for a, b in raw)
-
-
 # Keys a study JSON config may hold; anything else is a typo, not a default.
 STUDY_CONFIG_KEYS = frozenset(
-    {
-        "master_seed",
-        "seed",
-        "scale",
-        "scenario",
-        "out_dir",
-        "workers",
-        "replications",
-        "lengths",
-        "hurst_grid",
-        "variance_cutoffs",
-        "gph_cutoffs",
-        "psi",
-        "level_seed",
-        "alpha",
-    }
+    [field.name for field in dataclasses.fields(StudyConfig)] + ["seed", "scale", "out_dir"]
 )
 
 
 def _study_config(args) -> tuple[StudyConfig, Path]:
+    """Merge the JSON config with the flags (flags win).  StudyConfig receives only
+    the values given there, plus the CLI's own defaults for replications and lengths."""
     file_cfg = {}
     if args.config is not None:
         file_cfg = json.loads(Path(args.config).read_text())
@@ -110,57 +94,35 @@ def _study_config(args) -> tuple[StudyConfig, Path]:
         unknown = sorted(set(file_cfg) - STUDY_CONFIG_KEYS)
         if unknown:
             raise ConfigError(f"{args.config}: unknown study setting(s): {', '.join(unknown)}")
-
-    def pick(flag_value, *keys, default=None):
-        if flag_value is not None:
-            return flag_value
-        for key in keys:
-            if key in file_cfg:
-                return file_cfg[key]
-        return default
-
-    seed = pick(args.seed, "master_seed", "seed")
-    scale = pick(args.scale, "scale")
-    scenario = pick(args.scenario, "scenario")
-    out_dir = pick(args.out_dir, "out_dir")
-    workers = pick(args.workers, "workers")
-    missing = [
-        name
-        for name, value in (
-            ("seed", seed),
-            ("scale", scale),
-            ("scenario", scenario),
-            ("out-dir", out_dir),
-            ("workers", workers),
-        )
-        if value is None
-    ]
+        if "seed" in file_cfg:
+            file_cfg.setdefault("master_seed", file_cfg.pop("seed"))
+    # the study flags' argparse destinations are config keys
+    flags = {k: v for k, v in vars(args).items() if k in STUDY_CONFIG_KEYS and v is not None}
+    if "seed" in flags:
+        flags["master_seed"] = flags.pop("seed")
+    settings = {**file_cfg, **flags}
+    required = (
+        ("seed", "master_seed"),
+        ("scale", "scale"),
+        ("scenario", "scenario"),
+        ("out-dir", "out_dir"),
+        ("workers", "workers"),
+    )
+    missing = [flag for flag, key in required if settings.get(key) is None]
     if missing:
         raise ConfigError(f"missing required study settings: {', '.join(missing)}")
-    scale = float(scale)
-    if not scale > 0:
-        raise ConfigError(f"scale must be positive, got {scale}")
-    replications = pick(args.replications, "replications", default=round(1000 * scale))
-    lengths = pick(args.lengths, "lengths", default=(50, 100, 200, 500))
+    scale = settings.pop("scale")
+    if isinstance(scale, bool) or not isinstance(scale, (int, float)) or not 0 < scale < math.inf:
+        raise ConfigError(f"scale must be a positive number, got {scale!r}")
+    out_dir = settings.pop("out_dir")
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"out_dir must be a path, got {out_dir!r}")
+    settings.setdefault("replications", round(1000 * scale))
+    lengths = settings.setdefault("lengths", (50, 100, 200, 500))
     if isinstance(lengths, str):
-        lengths = [int(tok) for tok in lengths.split(",") if tok.strip()]
-    hurst_grid = file_cfg.get("hurst_grid")
-    variance_cutoffs = file_cfg.get("variance_cutoffs")
-    gph_cutoffs = file_cfg.get("gph_cutoffs")
-    cfg = StudyConfig(
-        scenario=str(scenario),
-        lengths=tuple(lengths),
-        replications=int(replications),
-        master_seed=int(seed),
-        hurst_grid=tuple(hurst_grid) if hurst_grid else None,
-        variance_cutoffs=_parse_pairs(variance_cutoffs) if variance_cutoffs else None,
-        gph_cutoffs=_parse_pairs(gph_cutoffs) if gph_cutoffs else None,
-        psi=int(pick(args.psi, "psi", default=100)),
-        level_seed=pick(args.level_seed, "level_seed"),
-        alpha=float(pick(args.alpha, "alpha", default=1.0)),
-        workers=int(workers),
-    )
-    return cfg, Path(out_dir)
+        tokens = [tok.strip() for tok in lengths.split(",") if tok.strip()]
+        settings["lengths"] = [int(tok) if tok.isdecimal() else tok for tok in tokens]
+    return StudyConfig(**settings), Path(out_dir)
 
 
 def _cmd_study(args) -> int:

@@ -7,9 +7,7 @@ infinite variance and is invariant under strictly increasing transforms.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -67,6 +65,8 @@ def draw_levels(psi: int, seed: int) -> QuantileMeasure:
     panel meant to be shared by every series of a study."""
     if psi < 1:
         raise ValueError(f"psi must be >= 1, got {psi}")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"level seed must lie in [0, 2**64), got {seed}")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     return QuantileMeasure((rng.integers(0, 1 << 53, size=psi) + 0.5) * 2.0**-53)
 
@@ -116,14 +116,3 @@ def ie_pipeline(
     if isinstance(estimator, GphConfig):
         return classify_lrd_gph(gph_estimate(transformed, estimator))
     raise TypeError(f"unsupported estimator config: {type(estimator).__name__}")
-
-
-def write_threshold_csv(measure: ThresholdMeasure, path) -> Path:
-    """Two-column CSV (threshold, weight) for auditing a resolved measure."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "weight"])
-        for threshold, weight in zip(measure.thresholds, measure.weights):
-            writer.writerow([repr(float(threshold)), repr(float(weight))])
-    return path

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import WindowExceedsSeries, ZeroPeriodogramOrdinate
 from .series import RegressionFit, TimeSeries, ols_slope
+
+# A GPH estimate of d above this value means LRD.
+GPH_LRD_THRESHOLD = 0.0
 
 
 @dataclass(frozen=True)
@@ -127,15 +128,4 @@ def gph_estimate(x: TimeSeries, cfg: GphConfig) -> RegressionFit:
 
 def classify_lrd_gph(fit: RegressionFit) -> str:
     """"LRD" when the estimated memory parameter is strictly positive, else "non-LRD"."""
-    return "LRD" if fit.slope > 0.0 else "non-LRD"
-
-
-def write_periodogram_csv(p: Periodogram, path) -> Path:
-    """Two-column CSV (lambda, ordinate)."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "ordinate"])
-        for freq, value in zip(p.frequencies, p.ordinates):
-            writer.writerow([repr(float(freq)), repr(float(value))])
-    return path
+    return "LRD" if fit.slope > GPH_LRD_THRESHOLD else "non-LRD"

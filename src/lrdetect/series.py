@@ -18,8 +18,6 @@ def _as_finite_array(values) -> np.ndarray:
     arr = np.array(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError("series values must be one-dimensional")
-    if arr.size < 1:
-        raise ValueError("series must contain at least one value")
     if not np.all(np.isfinite(arr)):
         raise ValueError("series values must be finite (no NaN or infinity)")
     arr.setflags(write=False)
@@ -38,7 +36,10 @@ class TimeSeries:
     provenance: Mapping | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_finite_array(self.values))
+        values = _as_finite_array(self.values)
+        if values.size < 1:
+            raise ValueError("series must contain at least one value")
+        object.__setattr__(self, "values", values)
 
     @property
     def n(self) -> int:
@@ -50,22 +51,12 @@ class TimeSeries:
 
 @dataclass(frozen=True)
 class RegressionFit:
-    """A least-squares line together with the (x, y) design it was fit on."""
+    """A least-squares line together with the read-only (x, y) design it was fit on."""
 
     slope: float
     intercept: float
     xs: np.ndarray
     ys: np.ndarray
-
-    def __post_init__(self):
-        xs = _as_finite_array(self.xs)
-        ys = _as_finite_array(self.ys)
-        if xs.size != ys.size or xs.size < 2:
-            raise DegenerateDesign("design needs >= 2 paired points")
-        if np.all(xs == xs[0]):
-            raise DegenerateDesign("all abscissae coincide")
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
 
     def residuals(self) -> np.ndarray:
         return self.ys - (self.intercept + self.slope * self.xs)
@@ -81,10 +72,10 @@ def ols_slope(xs, ys) -> RegressionFit:
 
     slope = sum((x - xbar)(y - ybar)) / sum((x - xbar)^2), intercept chosen
     so the line passes through (xbar, ybar).  Sums use compensated
-    accumulation so designs with ~1e6 points stay stable.
+    accumulation so designs with ~1e6 points stay stable.  Both coordinates
+    must be one-dimensional and finite.
     """
-    x = np.asarray(xs, dtype=np.float64)
-    y = np.asarray(ys, dtype=np.float64)
+    x, y = _as_finite_array(xs), _as_finite_array(ys)
     if x.size != y.size or x.size < 2:
         raise DegenerateDesign("design needs >= 2 paired points")
     if np.all(x == x[0]):

@@ -12,7 +12,9 @@ import contextlib
 import csv
 import json
 import math
+import numbers
 import os
+from collections.abc import Iterable, Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -23,9 +25,9 @@ import numpy as np
 from .errors import ConfigError
 from .excursion import QuantileMeasure, draw_levels, resolve_quantiles, transform_series
 from .fgn import FgnParams, simulate_fgn_paths
-from .gph import gph_regressors, ordinate_rows
+from .gph import GPH_LRD_THRESHOLD, gph_regressors, ordinate_rows
 from .series import TimeSeries
-from .varplot import block_variance_rows
+from .varplot import VARIANCE_LRD_THRESHOLD, block_variance_rows
 
 SCENARIOS = ("fgn", "subordinated-fgn")
 
@@ -113,6 +115,31 @@ def _derived_level_seed(master_seed: int) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
+def _integer(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _items(name: str, value, item) -> tuple:
+    if isinstance(value, (str, bytes, Mapping)) or not isinstance(value, Iterable):
+        raise ConfigError(f"{name} must be a list, got {value!r}")
+    return tuple(item(name, v) for v in value)
+
+
+def _pair(name: str, value) -> tuple[int, int]:
+    pair = _items(name, value, _integer)
+    if len(pair) != 2:
+        raise ConfigError(f"{name} entries must be [low, high] pairs, got {value!r}")
+    return pair
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Complete description of one study run; a fixed config fixes the output."""
@@ -130,15 +157,20 @@ class StudyConfig:
     workers: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "lengths", tuple(int(n) for n in self.lengths))
+        """Coerce each field to its declared type.  A value of another type
+        raises ConfigError naming the field; no float is truncated to an int."""
+        fix = partial(object.__setattr__, self)
+        fix("lengths", _items("lengths", self.lengths, _integer))
+        for name in ("replications", "master_seed", "psi", "workers"):
+            fix(name, _integer(name, getattr(self, name)))
+        fix("alpha", _real("alpha", self.alpha))
+        if self.level_seed is not None:
+            fix("level_seed", _integer("level_seed", self.level_seed))
         if self.hurst_grid is not None:
-            object.__setattr__(self, "hurst_grid", tuple(float(h) for h in self.hurst_grid))
+            fix("hurst_grid", _items("hurst_grid", self.hurst_grid, _real))
         for name in ("variance_cutoffs", "gph_cutoffs"):
-            pairs = getattr(self, name)
-            if pairs is not None:
-                object.__setattr__(
-                    self, name, tuple((int(a), int(b)) for a, b in pairs)
-                )
+            if getattr(self, name) is not None:
+                fix(name, _items(name, getattr(self, name), _pair))
 
     def validate(self) -> None:
         if self.scenario not in SCENARIOS:
@@ -147,6 +179,10 @@ class StudyConfig:
             raise ConfigError("lengths must be a nonempty list of integers >= 4")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
+        if self.level_seed is not None and not 0 <= self.level_seed < 1 << 64:
+            raise ConfigError(f"level_seed must lie in [0, 2**64), got {self.level_seed}")
         if self.psi < 1:
             raise ConfigError("psi must be >= 1")
         if not self.alpha > 0:
@@ -155,7 +191,7 @@ class StudyConfig:
             raise ConfigError(f"workers must lie in [1, {MAX_WORKERS}], got {self.workers}")
         grid = self.hurst_grid if self.hurst_grid is not None else default_hurst_grid(self.scenario)
         if not grid or any(not 0.0 < h < 1.0 for h in grid):
-            raise ConfigError("hurst grid values must lie strictly in (0, 1)")
+            raise ConfigError("hurst_grid must be nonempty with values strictly in (0, 1)")
         for name in ("variance_cutoffs", "gph_cutoffs"):
             pairs = getattr(self, name)
             if pairs is not None and len(pairs) == 0:
@@ -191,6 +227,7 @@ class StudyConfig:
         )
 
     def manifest_dict(self) -> dict:
+        grids = {str(n): self.grids_for(n) for n in self.lengths}
         return {
             "scenario": self.scenario,
             "lengths": list(self.lengths),
@@ -201,12 +238,8 @@ class StudyConfig:
             "level_seed": self.resolved_level_seed(),
             "alpha": self.alpha,
             "workers": self.workers,
-            "variance_cutoffs": {
-                str(n): [list(p) for p in self.grids_for(n)[0].tolist()] for n in self.lengths
-            },
-            "gph_cutoffs": {
-                str(n): [list(p) for p in self.grids_for(n)[1].tolist()] for n in self.lengths
-            },
+            "variance_cutoffs": {n: var.tolist() for n, (var, _) in grids.items()},
+            "gph_cutoffs": {n: gph.tolist() for n, (_, gph) in grids.items()},
         }
 
 
@@ -421,7 +454,10 @@ def _cell_counts(
     with np.errstate(divide="ignore"):
         var_logs = np.log(block_variance_rows(rows, kernel.lmin, kernel.lmax))
         gph_logs = np.log(ordinate_rows(rows)[:, 1:])
-    return _tally(kernel.variance, var_logs, -1.0), _tally(kernel.gph, gph_logs, 0.0)
+    return (
+        _tally(kernel.variance, var_logs, VARIANCE_LRD_THRESHOLD),
+        _tally(kernel.gph, gph_logs, GPH_LRD_THRESHOLD),
+    )
 
 
 def run_study(cfg: StudyConfig) -> list[MetricsReport]:

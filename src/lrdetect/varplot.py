@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -16,6 +14,9 @@ from .errors import (
     WindowExceedsSeries,
 )
 from .series import RegressionFit, TimeSeries, ols_slope
+
+# A variance-plot slope above this value means LRD.
+VARIANCE_LRD_THRESHOLD = -1.0
 
 
 @dataclass(frozen=True)
@@ -168,15 +169,4 @@ def admissible_delta_bound(theta: float) -> float:
 
 def classify_lrd_variance(fit: RegressionFit) -> str:
     """"LRD" when the variance-plot slope exceeds -1, else "non-LRD"."""
-    return "LRD" if fit.slope > -1.0 else "non-LRD"
-
-
-def write_curve_csv(curve: BlockVarianceCurve, path) -> Path:
-    """Two-column CSV (l, s2) for external variance-plot figures."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["l", "s2"])
-        for length, value in zip(curve.lengths, curve.s2):
-            writer.writerow([int(length), repr(float(value))])
-    return path
+    return "LRD" if fit.slope > VARIANCE_LRD_THRESHOLD else "non-LRD"

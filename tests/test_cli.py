@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from lrdetect import read_series_csv
 from lrdetect.cli import main
@@ -182,30 +183,91 @@ def test_rank_on_missing_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_study_rejects_unknown_config_keys_before_compute(tmp_path, capsys):
-    cfg_path = tmp_path / "typo.json"
-    cfg_path.write_text(json.dumps({"lenghts": [50], "replications": 2}))
+def _study_with_config(tmp_path, capsys, cfg, *extra):
+    """Run `study` on a JSON config; return (exit code, stderr, whether out-dir was made).
+
+    The required settings the config lacks are given as flags; a flag would
+    override the config's own value.
+    """
+    cfg_path = tmp_path / "study.json"
+    cfg_path.write_text(json.dumps(cfg))
     out_dir = tmp_path / "out"
-    code = main(
-        [
-            "study",
-            "--config",
-            str(cfg_path),
-            "--seed",
-            "1",
-            "--scale",
-            "0.01",
-            "--scenario",
-            "fgn",
-            "--out-dir",
-            str(out_dir),
-            "--workers",
-            "1",
-        ]
-    )
+    argv = ["study", "--config", str(cfg_path), *extra]
+    required = {"seed": "1", "scale": "0.001", "scenario": "fgn", "workers": "1"}
+    for key, value in {**required, "out_dir": str(out_dir)}.items():
+        if key not in cfg:
+            argv += [f"--{key.replace('_', '-')}", value]
+    code = main(argv)
+    return code, capsys.readouterr().err, out_dir.exists()
+
+
+def test_study_rejects_unknown_config_keys_before_compute(tmp_path, capsys):
+    code, err, wrote = _study_with_config(tmp_path, capsys, {"lenghts": [50], "replications": 2})
     assert code == 1
-    assert "lenghts" in capsys.readouterr().err
+    assert "lenghts" in err
+    assert not wrote
+
+
+# Config files that must fail before any compute, and the key the error names.
+BAD_CONFIGS = [
+    ({"lengths": 100}, "lengths"),
+    ({"lengths": [50.0]}, "lengths"),
+    ({"lengths": "50,abc"}, "lengths"),
+    ({"alpha": None}, "alpha"),
+    ({"hurst_grid": []}, "hurst_grid"),
+    ({"hurst_grid": "0.4"}, "hurst_grid"),
+    ({"variance_cutoffs": []}, "variance_cutoffs"),
+    ({"gph_cutoffs": []}, "gph_cutoffs"),
+    ({"gph_cutoffs": [[1, 2, 3]]}, "gph_cutoffs"),
+    ({"replications": 2.7}, "replications"),
+    ({"workers": 1.9}, "workers"),
+    ({"psi": "abc"}, "psi"),
+    ({"level_seed": -1}, "level_seed"),
+    ({"seed": -1}, "master_seed"),
+    ({"scale": "0.1"}, "scale"),
+    ({"out_dir": 3}, "out_dir"),
+]
+
+
+@pytest.mark.parametrize(
+    "cfg,key", BAD_CONFIGS, ids=[json.dumps(cfg, separators=(",", ":")) for cfg, _ in BAD_CONFIGS]
+)
+def test_study_rejects_bad_config_values_before_compute(tmp_path, capsys, cfg, key):
+    code, err, wrote = _study_with_config(tmp_path, capsys, cfg)
+    assert code == 1
+    assert err.startswith("error:") and key in err
+    assert not wrote
+
+
+@pytest.mark.parametrize(
+    "scenario,flag,value,key",
+    [
+        ("subordinated-fgn", "--level-seed", "-1", "level_seed"),
+        ("subordinated-fgn", "--level-seed", str(2**64), "level_seed"),
+        ("fgn", "--level-seed", str(2**64), "level_seed"),
+        ("fgn", "--seed", "-1", "master_seed"),  # the last --seed wins
+    ],
+)
+def test_study_rejects_out_of_range_seeds(tmp_path, capsys, scenario, flag, value, key):
+    out_dir = tmp_path / "out"
+    argv = ["study", "--seed", "1", "--scale", "0.001", "--workers", "1", "--out-dir", str(out_dir)]
+    assert main([*argv, "--scenario", scenario, flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "psi,seed,message",
+    [("10", "-5", "level seed"), ("10", str(2**64), "level seed"), ("0", "5", "psi")],
+)
+def test_estimate_rejects_bad_quantile_transform(tmp_path, capsys, psi, seed, message):
+    series = tmp_path / "x.csv"
+    series.write_text("value\n" + "".join(f"{v}\n" for v in range(20)))
+    argv = ["estimate", str(series), "--estimator", "variance", "--n1", "1", "--n2", "4"]
+    assert main([*argv, "--quantile-transform", psi, "--level-seed", seed]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
 
 
 def test_rank_rejects_results_name_without_length(tmp_path, capsys):

@@ -151,13 +151,3 @@ def test_draw_levels_fixed_panel():
     assert np.array_equal(a.levels, b.levels)
     assert np.all((a.levels > 0.0) & (a.levels < 1.0))
     assert a.psi == 100
-
-
-def test_threshold_csv_export(tmp_path):
-    from lrdetect import write_threshold_csv
-
-    measure = ThresholdMeasure([1.5, -0.25], [0.5, 0.5])
-    path = write_threshold_csv(measure, tmp_path / "nu.csv")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "threshold,weight"
-    assert lines[1] == "1.5,0.5" and lines[2] == "-0.25,0.5"

@@ -151,15 +151,3 @@ def test_config_validation():
 def test_periodogram_needs_two_samples():
     with pytest.raises(ValueError):
         periodogram(TimeSeries([1.0]))
-
-
-def test_periodogram_csv_export(tmp_path):
-    from lrdetect import write_periodogram_csv
-
-    p = periodogram(TimeSeries([1.0, -1.0, 2.0, 0.5, -0.5]))
-    path = write_periodogram_csv(p, tmp_path / "pgram.csv")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "lambda,ordinate"
-    assert len(lines) == 1 + p.ordinates.size
-    freq, ordinate = map(float, lines[1].split(","))
-    assert freq == p.frequencies[0] and ordinate == p.ordinates[0]

@@ -49,6 +49,28 @@ def test_ols_degenerate_designs():
         ols_slope([2.0, 2.0, 2.0], [0.0, 1.0, 2.0])
     with pytest.raises(DegenerateDesign):
         ols_slope([1.0, 2.0], [1.0, 2.0, 3.0])
+    with pytest.raises(DegenerateDesign):
+        ols_slope([], [])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ols_rejects_non_finite_design(bad):
+    with pytest.raises(ValueError):
+        ols_slope([0.0, 1.0, bad], [0.0, 1.0, 2.0])
+    with pytest.raises(ValueError):
+        ols_slope([0.0, 1.0, 2.0], [0.0, bad, 2.0])
+
+
+def test_ols_fit_design_is_read_only_copy():
+    xs = np.array([0.0, 1.0, 2.0])
+    ys = np.array([1.0, 0.0, 4.0])
+    fit = ols_slope(xs, ys)
+    for design in (fit.xs, fit.ys):
+        assert not design.flags.writeable
+        with pytest.raises(ValueError):
+            design[0] = 5.0
+    xs[0], ys[0] = 9.0, 9.0
+    assert fit.xs[0] == 0.0 and fit.ys[0] == 1.0
 
 
 def test_ols_affine_response_equivariance():

@@ -142,17 +142,6 @@ def test_config_validation():
         VariancePlotConfig(delta=0.3, m=1.0)
 
 
-def test_curve_csv_export(tmp_path):
-    from lrdetect import write_curve_csv
-
-    curve = block_mean_variances(TimeSeries([1.0, 2.0, 3.0, 4.0]), 1, 2)
-    path = write_curve_csv(curve, tmp_path / "curve.csv")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "l,s2"
-    assert lines[1].startswith("1,") and lines[2].startswith("2,")
-    assert float(lines[1].split(",")[1]) == 1.25
-
-
 @pytest.mark.parametrize("hurst,tag", [(0.7, 0), (0.4, 1)])
 def test_expected_block_variance_matches_oracle(hurst, tag):
     # mean of S_l^2 over replications vs the exact mean variance, allowing
