@@ -30,29 +30,21 @@ from .varplot import (
 
 
 def _cmd_simulate(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    if args.count < 1:
+        raise ConfigError(f"--count must be >= 1, got {args.count}")
+    params = FgnParams(hurst=args.hurst, n=args.length, sigma2=args.sigma2)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for rep in range(args.count):
-        seed = replication_seed(args.seed, args.scenario, 0, rep)
-        series = simulate_fgn(FgnParams(hurst=args.hurst, n=args.length, sigma2=args.sigma2), seed)
+        series = simulate_fgn(params, replication_seed(args.seed, args.scenario, 0, rep))
         if args.scenario == "subordinated-fgn":
             series = subordinate(series, SubordinationParams(args.alpha))
         name = f"{args.scenario}_h{args.hurst:.4f}_r{rep:03d}.csv"
         path = write_series_csv(series, out_dir / name)
         print(path)
     return 0
-
-
-def _estimator_config(args):
-    if args.estimator == "variance":
-        if args.delta is not None or args.m is not None:
-            return VariancePlotConfig(delta=args.delta, m=args.m)
-        if args.n1 is None or args.n2 is None:
-            raise ConfigError("variance estimator needs --n1/--n2 or --delta/--m")
-        return VariancePlotConfig(n1=args.n1, n2=args.n2)
-    if args.trim is None or args.bandwidth is None:
-        raise ConfigError("gph estimator needs --trim and --bandwidth")
-    return GphConfig(trim=args.trim, bandwidth=args.bandwidth)
 
 
 def _cmd_estimate(args) -> int:
@@ -62,16 +54,21 @@ def _cmd_estimate(args) -> int:
             raise ConfigError("--quantile-transform requires --level-seed")
         levels = draw_levels(args.quantile_transform, args.level_seed)
         series = transform_series(series, resolve_quantiles(series, levels))
-    cfg = _estimator_config(args)
-    if isinstance(cfg, VariancePlotConfig):
-        fit = variance_plot_slope(series, cfg)
-        n1, n2 = cfg.resolve(series.n)
+    if args.estimator == "variance":
+        n1, n2 = args.n1, args.n2
+        if args.delta is not None or args.m is not None:
+            n1, n2 = VariancePlotConfig(delta=args.delta, m=args.m).resolve(series.n)
+        elif n1 is None or n2 is None:
+            raise ConfigError("variance estimator needs --n1/--n2 or --delta/--m")
+        fit = variance_plot_slope(series, VariancePlotConfig(n1=n1, n2=n2))
         print(f"estimator variance window {n1} {n2}")
         print(f"slope {fit.slope:.6f}")
         print(f"label {classify_lrd_variance(fit)}")
     else:
-        fit = gph_estimate(series, cfg)
-        print(f"estimator gph window {cfg.trim} {cfg.bandwidth}")
+        if args.trim is None or args.bandwidth is None:
+            raise ConfigError("gph estimator needs --trim and --bandwidth")
+        fit = gph_estimate(series, GphConfig(trim=args.trim, bandwidth=args.bandwidth))
+        print(f"estimator gph window {args.trim} {args.bandwidth}")
         print(f"d {fit.slope:.6f}")
         print(f"label {classify_lrd_gph(fit)}")
     return 0
@@ -101,23 +98,26 @@ def _study_config(args) -> tuple[StudyConfig, Path]:
     if "seed" in flags:
         flags["master_seed"] = flags.pop("seed")
     settings = {**file_cfg, **flags}
-    required = (
-        ("seed", "master_seed"),
-        ("scale", "scale"),
-        ("scenario", "scenario"),
-        ("out-dir", "out_dir"),
-        ("workers", "workers"),
-    )
-    missing = [flag for flag, key in required if settings.get(key) is None]
+    required = {
+        "seed": "master_seed",
+        "scale": "scale",
+        "scenario": "scenario",
+        "out-dir": "out_dir",
+        "workers": "workers",
+    }
+    if settings.get("replications") is not None:
+        del required["scale"]  # a given replications count wins over scale
+    missing = [flag for flag, key in required.items() if settings.get(key) is None]
     if missing:
         raise ConfigError(f"missing required study settings: {', '.join(missing)}")
-    scale = settings.pop("scale")
-    if isinstance(scale, bool) or not isinstance(scale, (int, float)) or not 0 < scale < math.inf:
-        raise ConfigError(f"scale must be a positive number, got {scale!r}")
+    scale = settings.pop("scale", None)
+    if scale is not None:
+        if isinstance(scale, bool) or not isinstance(scale, (int, float)) or not 0 < scale < math.inf:
+            raise ConfigError(f"scale must be a positive number, got {scale!r}")
+        settings.setdefault("replications", round(1000 * scale))
     out_dir = settings.pop("out_dir")
     if not isinstance(out_dir, str):
         raise ConfigError(f"out_dir must be a path, got {out_dir!r}")
-    settings.setdefault("replications", round(1000 * scale))
     lengths = settings.setdefault("lengths", (50, 100, 200, 500))
     if isinstance(lengths, str):
         tokens = [tok.strip() for tok in lengths.split(",") if tok.strip()]

@@ -11,9 +11,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fgn import uniform_draws
 from .gph import GphConfig, classify_lrd_gph, gph_estimate
 from .series import TimeSeries
 from .varplot import VariancePlotConfig, classify_lrd_variance, variance_plot_slope
+
+# Largest accepted number of quantile levels.  Each level costs memory in the
+# panel, its thresholds and the transform, while past the series length extra
+# levels add no distinct threshold.
+MAX_PSI = 10**6
 
 
 @dataclass(frozen=True)
@@ -63,12 +69,9 @@ class ThresholdMeasure:
 def draw_levels(psi: int, seed: int) -> QuantileMeasure:
     """psi uniform levels strictly inside (0, 1); a fixed seed yields a fixed
     panel meant to be shared by every series of a study."""
-    if psi < 1:
-        raise ValueError(f"psi must be >= 1, got {psi}")
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"level seed must lie in [0, 2**64), got {seed}")
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    return QuantileMeasure((rng.integers(0, 1 << 53, size=psi) + 0.5) * 2.0**-53)
+    if not 1 <= psi <= MAX_PSI:
+        raise ValueError(f"psi must lie in [1, {MAX_PSI}], got {psi}")
+    return QuantileMeasure(uniform_draws(seed, psi, name="level seed"))
 
 
 def resolve_quantiles(x: TimeSeries, q: QuantileMeasure) -> ThresholdMeasure:

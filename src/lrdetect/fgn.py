@@ -116,15 +116,16 @@ def fgn_spectral_density(params: FgnParams, lam: float, truncation: int = 1000) 
     return front * 4.0 * math.sin(lam / 2.0) ** 2 * tail_sum
 
 
-def _standard_normals(rng: np.random.Generator, size: int) -> np.ndarray:
-    # Inverse-CDF transform of uniforms on a strict-interior dyadic grid:
-    # fixed draw count per variate, never hits 0 or 1.
-    u = (rng.integers(0, 1 << 53, size=size) + 0.5) * 2.0**-53
-    return ndtri(u)
+def uniform_draws(seed: int, size: int, name: str = "seed") -> np.ndarray:
+    """``size`` uniforms from a Philox generator keyed by ``seed``, on a
+    strict-interior dyadic grid: a fixed draw count per variate, never 0 or 1.
 
-
-def _rng_for(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    ``seed`` must lie in [0, 2**64); ``name`` labels it in the ValueError.
+    """
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"{name} must lie in [0, 2**64), got {seed}")
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    return (rng.integers(0, 1 << 53, size=size) + 0.5) * 2.0**-53
 
 
 @lru_cache(maxsize=16)
@@ -160,7 +161,7 @@ def simulate_fgn_paths(params: FgnParams, seeds) -> np.ndarray:
     """
     n = params.n
     if n == 1:
-        draws = np.array([_standard_normals(_rng_for(seed), 1)[0] for seed in seeds])
+        draws = np.array([ndtri(uniform_draws(seed, 1))[0] for seed in seeds])
         return (math.sqrt(params.sigma2) * draws).reshape(-1, 1)
 
     amplitudes = _embedding_amplitudes(params)
@@ -168,7 +169,7 @@ def simulate_fgn_paths(params: FgnParams, seeds) -> np.ndarray:
     seeds = list(seeds)
     w = np.empty((len(seeds), m), dtype=np.complex128)
     for row, seed in zip(w, seeds):
-        draws = _standard_normals(_rng_for(seed), m)
+        draws = ndtri(uniform_draws(seed, m))
         row[0] = draws[0]
         row[n - 1] = draws[1]
         row[1 : n - 1] = (draws[2::2] + 1j * draws[3::2]) / math.sqrt(2.0)

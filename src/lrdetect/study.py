@@ -13,17 +13,18 @@ import csv
 import json
 import math
 import numbers
+import operator
 import os
 from collections.abc import Iterable, Mapping
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
-from .excursion import QuantileMeasure, draw_levels, resolve_quantiles, transform_series
+from .excursion import MAX_PSI, QuantileMeasure, draw_levels, resolve_quantiles, transform_series
 from .fgn import FgnParams, simulate_fgn_paths
 from .gph import GPH_LRD_THRESHOLD, gph_regressors, ordinate_rows
 from .series import TimeSeries
@@ -55,6 +56,10 @@ CSV_COLUMNS = (
     "sensitivity",
     "specificity",
 )
+# CSV_COLUMNS read off a MetricsReport: the columns written as they are, then
+# the derived metrics, written to six decimals.
+_CSV_PLAIN = operator.attrgetter(*CSV_COLUMNS[:8])
+_CSV_METRICS = operator.attrgetter(*CSV_COLUMNS[8:])
 
 
 def ground_truth_label(scenario: str, hurst: float) -> str:
@@ -100,19 +105,17 @@ def default_gph_grid(n: int, points: int = 50) -> list[tuple[int, int]]:
     return [(marks[i], marks[j]) for i in range(len(marks)) for j in range(i + 1, len(marks))]
 
 
+def _seed_hash(*entropy: int) -> int:
+    return int(np.random.SeedSequence([int(e) for e in entropy]).generate_state(1, np.uint64)[0])
+
+
 def replication_seed(master_seed: int, scenario: str, h_index: int, rep_index: int) -> int:
     """Path seed hashed from (master seed, scenario, Hurst index, replication).
 
     Hashing instead of streaming keeps existing draws fixed when a grid is
     resized or extended.
     """
-    entropy = (int(master_seed), _SCENARIO_CODE[scenario], int(h_index), int(rep_index))
-    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
-
-
-def _derived_level_seed(master_seed: int) -> int:
-    entropy = (int(master_seed), _LEVELS_STREAM)
-    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+    return _seed_hash(master_seed, _SCENARIO_CODE[scenario], h_index, rep_index)
 
 
 def _integer(name: str, value) -> int:
@@ -183,8 +186,8 @@ class StudyConfig:
             raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.level_seed is not None and not 0 <= self.level_seed < 1 << 64:
             raise ConfigError(f"level_seed must lie in [0, 2**64), got {self.level_seed}")
-        if self.psi < 1:
-            raise ConfigError("psi must be >= 1")
+        if not 1 <= self.psi <= MAX_PSI:
+            raise ConfigError(f"psi must lie in [1, {MAX_PSI}], got {self.psi}")
         if not self.alpha > 0:
             raise ConfigError("alpha must be positive")
         if not 1 <= self.workers <= MAX_WORKERS:
@@ -211,7 +214,7 @@ class StudyConfig:
     def resolved_level_seed(self) -> int:
         if self.level_seed is not None:
             return int(self.level_seed)
-        return _derived_level_seed(self.master_seed)
+        return _seed_hash(self.master_seed, _LEVELS_STREAM)
 
     def resolved_hurst_grid(self) -> tuple[float, ...]:
         if self.hurst_grid is not None:
@@ -227,17 +230,12 @@ class StudyConfig:
         )
 
     def manifest_dict(self) -> dict:
+        """Every field, with the grids and the level seed as resolved for this run."""
         grids = {str(n): self.grids_for(n) for n in self.lengths}
         return {
-            "scenario": self.scenario,
-            "lengths": list(self.lengths),
-            "replications": self.replications,
-            "master_seed": self.master_seed,
+            **{f.name: getattr(self, f.name) for f in fields(self)},
             "hurst_grid": [float(h) for h in self.resolved_hurst_grid()],
-            "psi": self.psi,
             "level_seed": self.resolved_level_seed(),
-            "alpha": self.alpha,
-            "workers": self.workers,
             "variance_cutoffs": {n: var.tolist() for n, (var, _) in grids.items()},
             "gph_cutoffs": {n: gph.tolist() for n, (_, gph) in grids.items()},
         }
@@ -539,10 +537,6 @@ def rank_cutoffs(reports: list[MetricsReport], k: int) -> list[MetricsReport]:
     return sorted(reports, key=key)[:k]
 
 
-def _format_metric(value: float) -> str:
-    return "nan" if math.isnan(value) else f"{value:.6f}"
-
-
 def write_study_outputs(cfg: StudyConfig, reports: list[MetricsReport], out_dir) -> list[Path]:
     """One metrics CSV per series length plus a JSON manifest of the resolved config."""
     out_dir = Path(out_dir)
@@ -558,21 +552,8 @@ def write_study_outputs(cfg: StudyConfig, reports: list[MetricsReport], out_dir)
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
             for r in rows:
-                writer.writerow(
-                    [
-                        r.estimator,
-                        r.n1,
-                        r.n2,
-                        r.tp,
-                        r.fp,
-                        r.tn,
-                        r.fn,
-                        r.skips,
-                        _format_metric(r.accuracy),
-                        _format_metric(r.sensitivity),
-                        _format_metric(r.specificity),
-                    ]
-                )
+                metrics = ["nan" if math.isnan(v) else f"{v:.6f}" for v in _CSV_METRICS(r)]
+                writer.writerow([*_CSV_PLAIN(r), *metrics])
         written.append(path)
     manifest = out_dir / f"manifest_{cfg.scenario}.json"
     manifest.write_text(json.dumps(cfg.manifest_dict(), sort_keys=True, indent=2) + "\n")
@@ -593,17 +574,6 @@ def read_report_csv(path) -> list[MetricsReport]:
     reports = []
     with path.open(newline="") as fh:
         for row in csv.DictReader(fh):
-            reports.append(
-                MetricsReport(
-                    estimator=row["estimator"],
-                    n1=int(row["n1"]),
-                    n2=int(row["n2"]),
-                    series_length=length,
-                    tp=int(row["tp"]),
-                    fp=int(row["fp"]),
-                    tn=int(row["tn"]),
-                    fn=int(row["fn"]),
-                    skips=int(row["skips"]),
-                )
-            )
+            counts = {k: int(row[k]) for k in CSV_COLUMNS[1:8]}
+            reports.append(MetricsReport(estimator=row["estimator"], series_length=length, **counts))
     return reports

@@ -53,7 +53,11 @@ class VariancePlotConfig:
                 raise ValueError(f"m must exceed 1, got {self.m}")
 
     def resolve(self, n: int) -> tuple[int, int]:
-        """Concrete (n1, n2) for a series of length n; 1 <= n1 < n2 <= n."""
+        """Concrete (n1, n2) for a series of length n; 1 <= n1 < n2 <= n.
+
+        A (delta, m) window's upper end is clamped, with a RuntimeWarning, to
+        n - 1: the longest block length with two blocks, and so a variance.
+        """
         if self.n1 is not None:
             if self.n2 > n:
                 raise WindowExceedsSeries(f"n2={self.n2} exceeds series length {n}")
@@ -61,13 +65,13 @@ class VariancePlotConfig:
         root = n**self.delta
         low = max(1, math.floor(root))
         high = math.ceil(self.m * root)
-        if high > n:
+        if high > n - 1:
             warnings.warn(
-                f"window upper end {high} clamped to series length {n}",
+                f"window upper end {high} clamped to {n - 1}, one below series length {n}",
                 RuntimeWarning,
                 stacklevel=2,
             )
-            high = n
+            high = n - 1
         if high - low + 1 < 2:
             raise WindowExceedsSeries(
                 f"resolved window [{low}, {high}] has fewer than 2 block lengths"

@@ -53,6 +53,16 @@ def test_simulate_is_reproducible(tmp_path):
     assert a == b
 
 
+@pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--count", "0")])
+def test_simulate_rejects_bad_seed_and_count_before_writing(tmp_path, capsys, flag, value):
+    out_dir = tmp_path / "out"
+    argv = ["simulate", "--scenario", "fgn", "--hurst", "0.7", "--length", "16", "--seed", "3"]
+    assert main([*argv, "--out-dir", str(out_dir), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err and value in err
+    assert not out_dir.exists()
+
+
 def test_estimate_variance_and_gph(tmp_path, capsys):
     main(
         [
@@ -95,6 +105,24 @@ def test_estimate_variance_and_gph(tmp_path, capsys):
     )
     assert code == 0
     assert "label" in capsys.readouterr().out
+
+
+def test_estimate_clamped_window_prints_slope(tmp_path, capsys):
+    # at n = 100, delta 0.9 and m 4 ask for block lengths up to 253; the
+    # window is clamped to 99, the longest block length with two blocks
+    argv = ["simulate", "--scenario", "fgn", "--hurst", "0.7", "--length", "100", "--seed", "4"]
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+    path = str(next(tmp_path.glob("*.csv")))
+    capsys.readouterr()
+    with pytest.warns(RuntimeWarning) as record:
+        code = main(["estimate", path, "--estimator", "variance", "--delta", "0.9", "--m", "4"])
+    assert code == 0
+    assert [str(w.message) for w in record if "clamped" in str(w.message)] == [
+        "window upper end 253 clamped to 99, one below series length 100"
+    ]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "estimator variance window 63 99"
+    assert lines[1].startswith("slope ") and np.isfinite(float(lines[1].split()[1]))
 
 
 def test_estimate_missing_window_fails(tmp_path, capsys):
@@ -145,6 +173,13 @@ def test_study_with_config_file_and_overrides(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 4  # header + top 3
     assert lines[0].split()[0] == "estimator"
+
+
+def test_study_replications_make_scale_optional(tmp_path):
+    out_dir = tmp_path / "o"
+    argv = ["study", "--seed", "1", "--scenario", "fgn", "--out-dir", str(out_dir), "--workers", "1"]
+    assert main([*argv, "--replications", "2", "--lengths", "50"]) == 0
+    assert json.loads((out_dir / "manifest_fgn.json").read_text())["replications"] == 2
 
 
 def test_study_missing_required_settings(tmp_path, capsys):
@@ -222,9 +257,11 @@ BAD_CONFIGS = [
     ({"replications": 2.7}, "replications"),
     ({"workers": 1.9}, "workers"),
     ({"psi": "abc"}, "psi"),
+    ({"psi": 10**9}, "psi"),
     ({"level_seed": -1}, "level_seed"),
     ({"seed": -1}, "master_seed"),
     ({"scale": "0.1"}, "scale"),
+    ({"scale": "0.1", "replications": 2}, "scale"),
     ({"out_dir": 3}, "out_dir"),
 ]
 
@@ -259,7 +296,12 @@ def test_study_rejects_out_of_range_seeds(tmp_path, capsys, scenario, flag, valu
 
 @pytest.mark.parametrize(
     "psi,seed,message",
-    [("10", "-5", "level seed"), ("10", str(2**64), "level seed"), ("0", "5", "psi")],
+    [
+        ("10", "-5", "level seed"),
+        ("10", str(2**64), "level seed"),
+        ("0", "5", "psi"),
+        (str(10**9), "5", "psi"),
+    ],
 )
 def test_estimate_rejects_bad_quantile_transform(tmp_path, capsys, psi, seed, message):
     series = tmp_path / "x.csv"

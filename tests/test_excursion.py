@@ -17,6 +17,7 @@ from lrdetect import (
     subordinate,
     transform_series,
 )
+from lrdetect.excursion import MAX_PSI
 
 
 def test_resolve_quantiles_order_statistic():
@@ -143,6 +144,12 @@ def test_measure_validation():
         ThresholdMeasure([1.0], [0.0])
     with pytest.raises(ValueError):
         ThresholdMeasure([1.0, 2.0], [1.0])
+
+
+def test_draw_levels_rejects_psi_above_ceiling():
+    # checked before any level is drawn, so nothing is allocated
+    with pytest.raises(ValueError, match="psi"):
+        draw_levels(MAX_PSI + 1, 5)
 
 
 def test_draw_levels_fixed_panel():

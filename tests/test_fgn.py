@@ -96,6 +96,12 @@ def test_simulation_provenance_record():
     assert s.provenance == {"model": "fgn", "hurst": 0.7, "sigma2": 2.0, "n": 8, "seed": 5}
 
 
+@pytest.mark.parametrize("n,seed", [(8, -1), (8, 2**64), (1, -1)])
+def test_simulation_rejects_out_of_range_seed(n, seed):
+    with pytest.raises(ValueError, match="seed"):
+        simulate_fgn(FgnParams(hurst=0.7, n=n), seed)
+
+
 def test_simulation_length_one():
     s = simulate_fgn(FgnParams(hurst=0.7, n=1), 4)
     assert s.n == 1 and np.isfinite(s.values[0])

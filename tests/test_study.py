@@ -20,6 +20,7 @@ from lrdetect import (
     variance_plot_slope,
     write_study_outputs,
 )
+from lrdetect.excursion import MAX_PSI
 from lrdetect.gph import full_ordinates, gph_regressors
 from lrdetect.study import MAX_WORKERS, WindowGrid, pool_size
 from lrdetect.varplot import block_mean_variances
@@ -179,6 +180,12 @@ def test_worker_count_has_a_ceiling():
     small_cfg(workers=MAX_WORKERS).validate()
     with pytest.raises(ConfigError, match="workers"):
         small_cfg(workers=MAX_WORKERS + 1).validate()
+
+
+def test_psi_has_a_ceiling():
+    small_cfg(psi=MAX_PSI).validate()
+    with pytest.raises(ConfigError, match="psi"):
+        small_cfg(psi=MAX_PSI + 1).validate()
 
 
 def test_pool_size_is_bounded_by_cpus_and_cells(monkeypatch):

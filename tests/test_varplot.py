@@ -121,10 +121,10 @@ def test_config_resolution_rules():
     cfg = VariancePlotConfig(delta=0.25, m=4.0)
     assert cfg.resolve(4096) == (8, 32)
     assert cfg.resolve(16384) == (11, 46)
-    # clamping to the series length warns instead of failing
+    # clamping to n - 1, the longest block length with two blocks, warns instead of failing
     with pytest.warns(RuntimeWarning):
         low, high = VariancePlotConfig(delta=0.9, m=3.0).resolve(50)
-    assert high == 50 and low >= 1
+    assert high == 49 and low >= 1
     with pytest.raises(WindowExceedsSeries):
         VariancePlotConfig(n1=1, n2=100).resolve(50)
 
