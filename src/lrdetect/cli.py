@@ -35,14 +35,22 @@ def _cmd_simulate(args) -> int:
     if args.count < 1:
         raise ConfigError(f"--count must be >= 1, got {args.count}")
     params = FgnParams(hurst=args.hurst, n=args.length, sigma2=args.sigma2)
+    # provenance sidecar: how each CSV's series was made; the seed is added per file
+    record = {"model": args.scenario, "hurst": params.hurst, "sigma2": params.sigma2, "n": params.n}
+    subordination = None
+    if args.scenario == "subordinated-fgn":
+        subordination = SubordinationParams(args.alpha)
+        record["alpha"] = subordination.alpha
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for rep in range(args.count):
-        series = simulate_fgn(params, replication_seed(args.seed, args.scenario, 0, rep))
-        if args.scenario == "subordinated-fgn":
-            series = subordinate(series, SubordinationParams(args.alpha))
-        name = f"{args.scenario}_h{args.hurst:.4f}_r{rep:03d}.csv"
-        path = write_series_csv(series, out_dir / name)
+        seed = replication_seed(args.seed, args.scenario, 0, rep)
+        series = simulate_fgn(params, seed)
+        if subordination is not None:
+            series = subordinate(series, subordination)
+        path = write_series_csv(series, out_dir / f"{args.scenario}_h{args.hurst:.4f}_r{rep:03d}.csv")
+        sidecar = json.dumps({**record, "seed": seed}, sort_keys=True, indent=2) + "\n"
+        path.with_suffix(".json").write_text(sidecar)
         print(path)
     return 0
 
@@ -92,7 +100,9 @@ def _study_config(args) -> tuple[StudyConfig, Path]:
         if unknown:
             raise ConfigError(f"{args.config}: unknown study setting(s): {', '.join(unknown)}")
         if "seed" in file_cfg:
-            file_cfg.setdefault("master_seed", file_cfg.pop("seed"))
+            if "master_seed" in file_cfg:
+                raise ConfigError(f"{args.config}: give either seed or master_seed, not both")
+            file_cfg["master_seed"] = file_cfg.pop("seed")
     # the study flags' argparse destinations are config keys
     flags = {k: v for k, v in vars(args).items() if k in STUDY_CONFIG_KEYS and v is not None}
     if "seed" in flags:

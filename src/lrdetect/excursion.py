@@ -96,10 +96,7 @@ def transform_series(x: TimeSeries, measure: ThresholdMeasure) -> TimeSeries:
     thresholds = measure.thresholds[order]
     cumulative = np.concatenate([[0.0], np.cumsum(measure.weights[order])])
     exceeded = np.searchsorted(thresholds, x.values, side="left")
-    provenance = None
-    if x.provenance is not None:
-        provenance = {**dict(x.provenance), "transform": "excursion-count"}
-    return TimeSeries(cumulative[exceeded], provenance=provenance)
+    return TimeSeries(cumulative[exceeded])
 
 
 def ie_pipeline(

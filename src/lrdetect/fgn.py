@@ -73,26 +73,19 @@ def fgn_autocovariance(params: FgnParams, k: int) -> float:
     """
     if k < 0:
         raise ValueError("lag must be nonnegative")
-    if k == 0:
-        return params.sigma2
-    a = 2.0 * params.hurst
-    if k < _SERIES_LAG:
-        return 0.5 * params.sigma2 * ((k + 1) ** a + (k - 1) ** a - 2.0 * k**a)
-    return params.sigma2 * k**a * _even_binomial_tail(a, (1.0 / k) ** 2)
+    return float(_autocovariance_vector(params, [k])[0])
 
 
-def _autocovariance_vector(params: FgnParams, count: int) -> np.ndarray:
-    """fgn_autocovariance at lags 0..count-1 in one vectorized pass."""
+def _autocovariance_vector(params: FgnParams, lags) -> np.ndarray:
+    """fgn_autocovariance at each of the nonnegative integer ``lags`` in one vectorized pass."""
     a = 2.0 * params.hurst
-    out = np.empty(count)
-    head = np.arange(0, min(count, _SERIES_LAG), dtype=np.float64)
-    out[: head.size] = 0.5 * params.sigma2 * (
-        (head + 1.0) ** a + np.abs(head - 1.0) ** a - 2.0 * head**a
-    )
-    out[0] = params.sigma2
-    if count > _SERIES_LAG:
-        tail = np.arange(_SERIES_LAG, count, dtype=np.float64)
-        out[_SERIES_LAG:] = params.sigma2 * tail**a * _even_binomial_tail(a, tail**-2)
+    lags = np.asarray(lags, dtype=np.float64)
+    near = lags < _SERIES_LAG
+    out = np.empty(lags.shape)
+    head, tail = lags[near], lags[~near]
+    out[near] = 0.5 * params.sigma2 * ((head + 1.0) ** a + np.abs(head - 1.0) ** a - 2.0 * head**a)
+    out[~near] = params.sigma2 * tail**a * _even_binomial_tail(a, tail**-2)
+    out[lags == 0] = params.sigma2
     return out
 
 
@@ -137,7 +130,7 @@ def _embedding_amplitudes(params: FgnParams) -> np.ndarray:
     H in (0, 1).
     """
     n = params.n
-    gamma = _autocovariance_vector(params, n)
+    gamma = _autocovariance_vector(params, np.arange(n))
     first_row = np.concatenate([gamma, gamma[n - 2 : 0 : -1]])
     eigenvalues = np.fft.fft(first_row).real
     if eigenvalues.min() < -_EIGENVALUE_TOL * eigenvalues.max():
@@ -180,22 +173,12 @@ def simulate_fgn_paths(params: FgnParams, seeds) -> np.ndarray:
 def simulate_fgn(params: FgnParams, seed: int) -> TimeSeries:
     """Sample one fGN path, exact in distribution; identical (params, seed)
     reproduce identical output."""
-    provenance = {
-        "model": "fgn",
-        "hurst": params.hurst,
-        "sigma2": params.sigma2,
-        "n": params.n,
-        "seed": int(seed),
-    }
-    return TimeSeries(simulate_fgn_paths(params, [seed])[0], provenance=provenance)
+    return TimeSeries(simulate_fgn_paths(params, [seed])[0])
 
 
 def fbm_from_fgn(noise: TimeSeries) -> TimeSeries:
     """Cumulative sums of the increments; differencing the output recovers the input."""
-    provenance = None
-    if noise.provenance is not None:
-        provenance = {**dict(noise.provenance), "model": "fbm"}
-    return TimeSeries(np.cumsum(noise.values), provenance=provenance)
+    return TimeSeries(np.cumsum(noise.values))
 
 
 def subordinate(y: TimeSeries, params: SubordinationParams) -> TimeSeries:
@@ -210,11 +193,4 @@ def subordinate(y: TimeSeries, params: SubordinationParams) -> TimeSeries:
             f"exp argument {exponents.max():.4g} exceeds the floating-point "
             f"range; alpha={params.alpha} is too small for this series"
         )
-    provenance = None
-    if y.provenance is not None:
-        provenance = {
-            **dict(y.provenance),
-            "model": "subordinated-" + str(y.provenance.get("model", "series")),
-            "alpha": params.alpha,
-        }
-    return TimeSeries(np.exp(exponents), provenance=provenance)
+    return TimeSeries(np.exp(exponents))

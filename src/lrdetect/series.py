@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
@@ -26,14 +24,9 @@ def _as_finite_array(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """A finite real-valued sample path, immutable after construction.
-
-    ``provenance`` optionally records how the series was generated (model
-    name, parameter map, seed) and travels with CSV exports.
-    """
+    """A finite real-valued sample path, immutable after construction."""
 
     values: np.ndarray
-    provenance: Mapping | None = None
 
     def __post_init__(self):
         values = _as_finite_array(self.values)
@@ -104,23 +97,13 @@ def read_series_csv(path) -> TimeSeries:
         if len(row) != 1:
             raise ValueError(f"{path}: expected a single column, got {len(row)}")
         values.append(float(row[0]))
-    provenance = None
-    sidecar = path.with_suffix(".json")
-    if sidecar.exists():
-        provenance = json.loads(sidecar.read_text())
-    return TimeSeries(values, provenance=provenance)
+    return TimeSeries(values)
 
 
 def write_series_csv(x: TimeSeries, path) -> Path:
-    """Write the series as a single ``value`` column; the provenance record,
-    when present, is serialized to a JSON sidecar next to the CSV."""
+    """Write the series as a single ``value`` column, CRLF-terminated rows of
+    ``repr(v)``: the bytes ``csv.writer`` writes, in one call."""
     path = Path(path)
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["value"])
-        for v in x.values:
-            writer.writerow([repr(float(v))])
-    if x.provenance is not None:
-        sidecar = path.with_suffix(".json")
-        sidecar.write_text(json.dumps(dict(x.provenance), sort_keys=True, indent=2) + "\n")
+        fh.write("value\r\n" + "".join(f"{v!r}\r\n" for v in x.values.tolist()))
     return path

@@ -38,6 +38,7 @@ _LEVELS_STREAM = 2  # entropy tag separating the level panel from path seeds
 # Float64 elements that bound one cell's normals (rows x 2n), and one block
 # of window weights (segments x windows) and of slopes (rows x windows).
 _CHUNK = 1 << 16
+_GPH_GRID_POINTS = 50  # endpoints per axis that the default GPH grid's stride aims for
 
 # Largest accepted worker count; the pool itself never exceeds the CPU count.
 MAX_WORKERS = 64
@@ -97,10 +98,10 @@ def default_variance_grid(n: int) -> list[tuple[int, int]]:
     return [(a, b) for a in range(1, top) for b in range(a + 1, top + 1)]
 
 
-def default_gph_grid(n: int, points: int = 50) -> list[tuple[int, int]]:
+def default_gph_grid(n: int) -> list[tuple[int, int]]:
     """Frequency windows 1 <= l < w <= n - 1, subsampled on a stride so the
-    grid stays near ``points`` values per endpoint."""
-    stride = max(1, (n - 1) // points)
+    grid stays near ``_GPH_GRID_POINTS`` values per endpoint."""
+    stride = max(1, (n - 1) // _GPH_GRID_POINTS)
     marks = list(range(1, n, stride))
     return [(marks[i], marks[j]) for i in range(len(marks)) for j in range(i + 1, len(marks))]
 

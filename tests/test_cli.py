@@ -3,35 +3,30 @@ import json
 import numpy as np
 import pytest
 
-from lrdetect import read_series_csv
+from lrdetect import read_series_csv, replication_seed
 from lrdetect.cli import main
 
 
 def test_simulate_writes_series_and_provenance(tmp_path, capsys):
-    code = main(
-        [
-            "simulate",
-            "--scenario",
-            "fgn",
-            "--hurst",
-            "0.7",
-            "--length",
-            "64",
-            "--count",
-            "2",
-            "--seed",
-            "11",
-            "--out-dir",
-            str(tmp_path),
-        ]
-    )
-    assert code == 0
-    files = sorted(tmp_path.glob("*.csv"))
-    assert len(files) == 2
-    series = read_series_csv(files[0])
-    assert series.n == 64
-    assert series.provenance["model"] == "fgn"
-    assert series.provenance["hurst"] == 0.7
+    argv = ["simulate", "--hurst", "0.7", "--length", "64", "--count", "2", "--seed", "11"]
+    for scenario, extra, alpha in [
+        ("fgn", [], {}),
+        ("subordinated-fgn", ["--sigma2", "2.5", "--alpha", "0.7"], {"alpha": 0.7}),
+    ]:
+        out_dir = tmp_path / scenario
+        assert main([*argv, "--scenario", scenario, "--out-dir", str(out_dir), *extra]) == 0
+        files = sorted(out_dir.glob("*.csv"))
+        assert len(files) == 2
+        for rep, path in enumerate(files):
+            assert read_series_csv(path).n == 64
+            assert json.loads(path.with_suffix(".json").read_text()) == {
+                "model": scenario,
+                "hurst": 0.7,
+                "sigma2": 2.5 if alpha else 1.0,
+                "n": 64,
+                "seed": replication_seed(11, scenario, 0, rep),
+                **alpha,
+            }
 
 
 def test_simulate_is_reproducible(tmp_path):
@@ -61,6 +56,26 @@ def test_simulate_rejects_bad_seed_and_count_before_writing(tmp_path, capsys, fl
     err = capsys.readouterr().err
     assert err.startswith("error:") and flag in err and value in err
     assert not out_dir.exists()
+
+
+def test_simulate_rejects_bad_alpha_before_writing(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    argv = ["simulate", "--scenario", "subordinated-fgn", "--hurst", "0.7", "--length", "16"]
+    assert main([*argv, "--seed", "3", "--alpha", "0", "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "alpha" in err
+    assert not out_dir.exists()
+
+
+def test_estimate_ignores_json_next_to_csv(tmp_path, capsys):
+    series = tmp_path / "x.csv"
+    series.write_text("value\n" + "".join(f"{v % 7}\n" for v in range(40)))
+    (tmp_path / "x.json").write_text("{not json")
+    argv = ["estimate", str(series), "--estimator", "variance", "--n1", "1", "--n2", "4"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("estimator variance window 1 4\n")
 
 
 def test_estimate_variance_and_gph(tmp_path, capsys):
@@ -260,6 +275,7 @@ BAD_CONFIGS = [
     ({"psi": 10**9}, "psi"),
     ({"level_seed": -1}, "level_seed"),
     ({"seed": -1}, "master_seed"),
+    ({"seed": 1, "master_seed": 2}, "seed or master_seed"),
     ({"scale": "0.1"}, "scale"),
     ({"scale": "0.1", "replications": 2}, "scale"),
     ({"out_dir": 3}, "out_dir"),

@@ -91,11 +91,6 @@ def test_simulation_is_deterministic():
     assert not np.array_equal(a.values, simulate_fgn(p, 100).values)
 
 
-def test_simulation_provenance_record():
-    s = simulate_fgn(FgnParams(hurst=0.7, n=8, sigma2=2.0), 5)
-    assert s.provenance == {"model": "fgn", "hurst": 0.7, "sigma2": 2.0, "n": 8, "seed": 5}
-
-
 @pytest.mark.parametrize("n,seed", [(8, -1), (8, 2**64), (1, -1)])
 def test_simulation_rejects_out_of_range_seed(n, seed):
     with pytest.raises(ValueError, match="seed"):
