@@ -28,9 +28,7 @@ from .excursion import (
 from .fgn import (
     FgnParams,
     SubordinationParams,
-    fbm_from_fgn,
     fgn_autocovariance,
-    fgn_spectral_density,
     simulate_fgn,
     subordinate,
 )
@@ -49,7 +47,6 @@ from .series import (
     TimeSeries,
     ols_slope,
     read_series_csv,
-    sample_mean,
     write_series_csv,
 )
 from .study import (

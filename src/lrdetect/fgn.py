@@ -89,26 +89,6 @@ def _autocovariance_vector(params: FgnParams, lags) -> np.ndarray:
     return out
 
 
-def fgn_spectral_density(params: FgnParams, lam: float, truncation: int = 1000) -> float:
-    """Spectral density at frequency lam in (-pi, pi) excluding 0.
-
-    Evaluates
-        sigma2 * Gamma(2H+1) * sin(H*pi) / (2*pi) * |1 - e^{-i*lam}|^2
-            * sum_{|j| <= truncation} |lam + 2*pi*j|^{-1-2H}.
-    Each omitted term is O(j^{-1-2H}), so the truncation error is
-    O(truncation^{-2H}); the default suits tests and diagnostics only.
-    """
-    if lam == 0.0 or not -math.pi < lam < math.pi:
-        raise ValueError("frequency must lie in (-pi, pi) and differ from 0")
-    if truncation < 1:
-        raise ValueError("truncation must be >= 1")
-    h = params.hurst
-    front = params.sigma2 * math.gamma(2 * h + 1) * math.sin(h * math.pi) / (2 * math.pi)
-    shifts = lam + 2.0 * math.pi * np.arange(-truncation, truncation + 1)
-    tail_sum = math.fsum(np.abs(shifts) ** (-1.0 - 2.0 * h))
-    return front * 4.0 * math.sin(lam / 2.0) ** 2 * tail_sum
-
-
 def uniform_draws(seed: int, size: int, name: str = "seed") -> np.ndarray:
     """``size`` uniforms from a Philox generator keyed by ``seed``, on a
     strict-interior dyadic grid: a fixed draw count per variate, never 0 or 1.
@@ -174,11 +154,6 @@ def simulate_fgn(params: FgnParams, seed: int) -> TimeSeries:
     """Sample one fGN path, exact in distribution; identical (params, seed)
     reproduce identical output."""
     return TimeSeries(simulate_fgn_paths(params, [seed])[0])
-
-
-def fbm_from_fgn(noise: TimeSeries) -> TimeSeries:
-    """Cumulative sums of the increments; differencing the output recovers the input."""
-    return TimeSeries(np.cumsum(noise.values))
 
 
 def subordinate(y: TimeSeries, params: SubordinationParams) -> TimeSeries:

@@ -6,6 +6,7 @@ restates a definition literally so the fast paths have an independent check.
 
 from __future__ import annotations
 
+import csv
 import math
 from typing import Callable
 
@@ -62,3 +63,21 @@ def naive_block_variances(x: TimeSeries, n1: int, n2: int) -> BlockVarianceCurve
         means = np.array([v[k : k + length].mean() for k in range(x.n - length + 1)])
         out[i] = ((means - means.mean()) ** 2).mean()
     return BlockVarianceCurve(np.arange(n1, n2 + 1), out)
+
+
+def csv_reader_series(path) -> TimeSeries:
+    """The series CSV rules restated row by row through ``csv.reader``: an
+    optional ``value`` header, empty rows skipped, exactly one column per row."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise ValueError(f"{path}: empty file")
+    start = 1 if rows[0] and rows[0][0].strip().lower() == "value" else 0
+    values = []
+    for row in rows[start:]:
+        if not row:
+            continue
+        if len(row) != 1:
+            raise ValueError(f"{path}: expected a single column, got {len(row)}")
+        values.append(float(row[0]))
+    return TimeSeries(values)

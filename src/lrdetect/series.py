@@ -1,8 +1,7 @@
-"""Series container, summary statistics, and the shared log-log OLS primitive."""
+"""Series container, its CSV form, and the shared log-log OLS primitive."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,14 +50,6 @@ class RegressionFit:
     xs: np.ndarray
     ys: np.ndarray
 
-    def residuals(self) -> np.ndarray:
-        return self.ys - (self.intercept + self.slope * self.xs)
-
-
-def sample_mean(x: TimeSeries) -> float:
-    """Arithmetic mean, accumulated with compensated summation."""
-    return math.fsum(x.values) / x.n
-
 
 def ols_slope(xs, ys) -> RegressionFit:
     """Ordinary least-squares line fit.
@@ -83,21 +74,36 @@ def ols_slope(xs, ys) -> RegressionFit:
 
 
 def read_series_csv(path) -> TimeSeries:
-    """Read a single-column CSV (optional ``value`` header); rows are time order."""
+    """Read a single-column CSV: an optional ``value`` header (any case, padded),
+    then one unquoted float per line in time order; empty lines are skipped.
+
+    The file converts in one call; only when that fails is it scanned for the
+    offending line, which the error names together with the file.
+    """
     path = Path(path)
-    values = []
-    with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
+    text = path.read_text()
+    if not text:
         raise ValueError(f"{path}: empty file")
-    start = 1 if rows[0] and rows[0][0].strip().lower() == "value" else 0
-    for row in rows[start:]:
-        if not row:
-            continue
-        if len(row) != 1:
-            raise ValueError(f"{path}: expected a single column, got {len(row)}")
-        values.append(float(row[0]))
-    return TimeSeries(values)
+    # Universal newlines leave "\n" the one line end, as csv.reader has it;
+    # str.splitlines would also split a line at a form feed.
+    lines = text.split("\n")
+    start = 1 if lines[0].strip().lower() == "value" else 0
+    try:
+        values = np.array(list(filter(None, lines[start:])), dtype=np.float64)
+    except ValueError:
+        values = None
+    if values is not None and values.size and np.isfinite(values).all():
+        return TimeSeries(values)
+    for number, line in enumerate(lines[start:], start + 1):
+        if "," in line:
+            raise ValueError(f"{path}: line {number}: expected a single column, got {line.count(',') + 1}")
+        try:
+            finite = not line or np.isfinite(np.float64(line))
+        except ValueError:
+            finite = False
+        if not finite:
+            raise ValueError(f"{path}: line {number}: expected a finite float, got {line!r}")
+    raise ValueError(f"{path}: no values")
 
 
 def write_series_csv(x: TimeSeries, path) -> Path:
@@ -105,5 +111,5 @@ def write_series_csv(x: TimeSeries, path) -> Path:
     ``repr(v)``: the bytes ``csv.writer`` writes, in one call."""
     path = Path(path)
     with path.open("w", newline="") as fh:
-        fh.write("value\r\n" + "".join(f"{v!r}\r\n" for v in x.values.tolist()))
+        fh.write("value\r\n" + "\r\n".join(map(repr, x.values.tolist())) + "\r\n")
     return path

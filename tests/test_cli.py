@@ -78,6 +78,19 @@ def test_estimate_ignores_json_next_to_csv(tmp_path, capsys):
     assert captured.out.startswith("estimator variance window 1 4\n")
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [("value\n1.0\nabc\n", ": line 3: "), ("value\n", ": no values"), ("value\n1.0\nnan\n", ": line 3: ")],
+)
+def test_estimate_names_file_of_unreadable_series(tmp_path, capsys, text, where):
+    series = tmp_path / "bad.csv"
+    series.write_text(text)
+    assert main(["estimate", str(series), "--estimator", "variance", "--n1", "1", "--n2", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {series}{where}")
+
+
 def test_estimate_variance_and_gph(tmp_path, capsys):
     main(
         [

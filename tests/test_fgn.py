@@ -8,9 +8,7 @@ from lrdetect import (
     OverflowValue,
     SubordinationParams,
     TimeSeries,
-    fbm_from_fgn,
     fgn_autocovariance,
-    fgn_spectral_density,
     replication_seed,
     simulate_fgn,
     subordinate,
@@ -44,34 +42,6 @@ def test_autocovariance_scales_with_sigma2():
     a = fgn_autocovariance(FgnParams(hurst=0.7, n=4, sigma2=1.0), 3)
     b = fgn_autocovariance(FgnParams(hurst=0.7, n=4, sigma2=2.5), 3)
     assert abs(b - 2.5 * a) < 1e-15
-
-
-def test_spectral_density_white_noise_is_flat():
-    p = FgnParams(hurst=0.5, n=10)
-    for lam in (0.3, 2.0, -1.2):
-        got = fgn_spectral_density(p, lam, truncation=100_000)
-        assert abs(got - 1.0 / (2 * math.pi)) < 1e-5
-
-
-def test_spectral_density_low_frequency_asymptote():
-    p = FgnParams(hurst=0.75, n=10)
-    lam = 1e-4
-    got = fgn_spectral_density(p, lam) * lam ** (2 * 0.75 - 1)
-    want = math.gamma(2 * 0.75 + 1) * math.sin(0.75 * math.pi) / (2 * math.pi)
-    assert abs(got - want) < 1e-4 * want
-
-
-def test_spectral_density_is_even():
-    p = FgnParams(hurst=0.6, n=10)
-    assert fgn_spectral_density(p, 0.3) == fgn_spectral_density(p, -0.3)
-
-
-def test_spectral_density_rejects_bad_frequency():
-    p = FgnParams(hurst=0.6, n=10)
-    with pytest.raises(ValueError):
-        fgn_spectral_density(p, 0.0)
-    with pytest.raises(ValueError):
-        fgn_spectral_density(p, 3.5)
 
 
 def test_params_validation():
@@ -151,22 +121,6 @@ def test_sample_autocovariance_matches_theory():
         per_batch = prods[: (prods.size // batches) * batches].reshape(batches, -1).mean(axis=1)
         se = per_batch.std(ddof=1) / math.sqrt(batches)
         assert abs(got - want) <= 5 * se, f"lag {lag}: {got} vs {want} (se {se})"
-
-
-def test_fbm_cumulative_sum():
-    assert np.array_equal(fbm_from_fgn(TimeSeries([1.0, 1.0, 1.0])).values, [1.0, 2.0, 3.0])
-
-
-def test_fbm_round_trip():
-    rng = np.random.default_rng(6)
-    x = rng.standard_normal(200)
-    path = fbm_from_fgn(TimeSeries(x)).values
-    assert np.allclose(np.diff(np.concatenate([[0.0], path])), x, rtol=0, atol=1e-12)
-
-
-def test_fbm_rejects_empty_input():
-    with pytest.raises(ValueError):
-        fbm_from_fgn(TimeSeries([]))
 
 
 def test_subordinate_values():

@@ -8,20 +8,9 @@ from lrdetect import (
     TimeSeries,
     ols_slope,
     read_series_csv,
-    sample_mean,
     write_series_csv,
 )
-
-
-def test_sample_mean_basic():
-    assert sample_mean(TimeSeries([1.0, 2.0, 3.0])) == 2.0
-    assert sample_mean(TimeSeries([4.25] * 17)) == 4.25
-
-
-def test_sample_mean_clt_bound():
-    rng = np.random.default_rng(101)
-    x = TimeSeries(rng.standard_normal(10_000))
-    assert abs(sample_mean(x)) < 4 / math.sqrt(10_000)
+from lrdetect.oracles import csv_reader_series
 
 
 def test_ols_exact_line():
@@ -98,15 +87,6 @@ def test_ols_permutation_invariance():
     assert abs(base.slope - shuffled.slope) <= 1e-12 * max(1.0, abs(base.slope))
 
 
-def test_ols_residuals_orthogonal_to_design():
-    rng = np.random.default_rng(9)
-    xs = rng.standard_normal(500)
-    ys = 2.0 * xs + rng.standard_normal(500)
-    fit = ols_slope(xs, ys)
-    dot = math.fsum((xs - xs.mean()) * fit.residuals())
-    assert abs(dot) <= 1e-9 * math.fsum(np.abs(xs * ys))
-
-
 def test_timeseries_rejects_bad_values():
     with pytest.raises(ValueError):
         TimeSeries([])
@@ -137,3 +117,75 @@ def test_series_csv_headerless(tmp_path):
     path.write_text("1.0\n2.5\n-3.0\n")
     back = read_series_csv(path)
     assert np.array_equal(back.values, [1.0, 2.5, -3.0])
+
+
+ENDINGS = {"lf": "\n", "crlf": "\r\n", "cr": "\r"}
+
+ACCEPTED = {
+    "header": ["value", "1.0", "2.5", "-3.0", ""],
+    "header any case, padded": ["  VaLuE \t", "1.0", "2.5", ""],
+    "headerless": ["1.0", "2.5", "-3.0", ""],
+    "no final line end": ["value", "1.0", "2.5"],
+    "blank lines": ["value", "", "1.0", "", "", "2.5", "-3e-7", ""],
+    "trailing blank lines": ["value", "1.0", "2.5", "", "", ""],
+    "single value": ["4.25", ""],
+    "padded values": ["value", " 1.5", "2.5 ", "\t-0.0", ""],
+}
+
+
+@pytest.mark.parametrize("ending", ENDINGS.values(), ids=ENDINGS.keys())
+@pytest.mark.parametrize("lines", ACCEPTED.values(), ids=ACCEPTED.keys())
+def test_series_csv_reader_matches_csv_reader_oracle(tmp_path, lines, ending):
+    path = tmp_path / "series.csv"
+    path.write_bytes(ending.join(lines).encode())
+    got = read_series_csv(path).values
+    assert got.tobytes() == csv_reader_series(path).values.tobytes()
+
+
+REJECTED = {
+    "two columns": (["value", "1.0", "2.0,3.0"], "line 3: expected a single column, got 2"),
+    "empty file": ([], "empty file"),
+    "header only": (["value"], "no values"),
+    "only blank lines": (["", ""], "no values"),
+    "bad token": (["value", "1.0", "", "abc"], "line 4: expected a finite float, got 'abc'"),
+    "whitespace-only line": (["1.0", "  "], "line 2: expected a finite float, got '  '"),
+    "form feed inside a line": (["1.0\x0c2.0"], "line 1: expected a finite float"),
+    "nan": (["value", "nan", "1.0"], "line 2: expected a finite float, got 'nan'"),
+    "infinite": (["value", "1.0", "1e999"], "line 3: expected a finite float, got '1e999'"),
+}
+
+
+@pytest.mark.parametrize("ending", ENDINGS.values(), ids=ENDINGS.keys())
+@pytest.mark.parametrize("lines, message", REJECTED.values(), ids=REJECTED.keys())
+def test_series_csv_reader_errors_name_file_and_line(tmp_path, lines, message, ending):
+    path = tmp_path / "series.csv"
+    path.write_bytes("".join(line + ending for line in lines).encode())
+    with pytest.raises(ValueError):
+        csv_reader_series(path)
+    with pytest.raises(ValueError) as excinfo:
+        read_series_csv(path)
+    assert str(excinfo.value).startswith(f"{path}: ")
+    assert message in str(excinfo.value)
+
+
+def test_series_csv_rejects_quoted_values(tmp_path):
+    # csv.reader strips the quotes; the writer never writes them, and the reader takes none
+    path = tmp_path / "quoted.csv"
+    path.write_text('value\n"2.5"\n')
+    assert csv_reader_series(path).values.tolist() == [2.5]
+    with pytest.raises(ValueError, match="line 2: expected a finite float, got '\"2.5\"'"):
+        read_series_csv(path)
+
+
+def test_series_csv_round_trips_adversarial_floats(tmp_path):
+    info = np.finfo(np.float64)
+    values = np.array(
+        [
+            0.0, -0.0, 5e-324, -5e-324, info.tiny, -info.tiny, info.max, -info.max,
+            0.1, 0.1 + 0.2, 1 / 3, 2 / 3, 1e16 + 2, 9007199254740993.0, 1.2345678901234567e-300,
+            2.2250738585072009e-308,  # the largest subnormal
+        ]
+    )
+    values = np.concatenate([values, np.random.default_rng(12).standard_normal(64) * 10.0 ** np.arange(-32, 32)])
+    path = write_series_csv(TimeSeries(values), tmp_path / "adversarial.csv")
+    assert read_series_csv(path).values.tobytes() == values.tobytes()
