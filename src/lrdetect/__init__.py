@@ -19,7 +19,6 @@ from .errors import (
 )
 from .excursion import (
     QuantileMeasure,
-    ThresholdMeasure,
     draw_levels,
     ie_pipeline,
     resolve_quantiles,

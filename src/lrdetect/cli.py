@@ -55,28 +55,39 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _estimate_config(args) -> VariancePlotConfig | GphConfig:
+    """The window from the flags of the estimator's one window form.  A flag the
+    estimate would ignore is an error, raised before the series is read."""
+    scaled = args.delta is not None or args.m is not None
+    names = ("trim", "bandwidth") if args.estimator == "gph" else ("delta", "m") if scaled else ("n1", "n2")
+    given = {name for name in ("n1", "n2", "delta", "m", "trim", "bandwidth") if getattr(args, name) is not None}
+    reads = " and ".join(f"--{name}" for name in names)
+    if given - set(names):
+        unread = ", ".join(f"--{name}" for name in sorted(given - set(names)))
+        raise ConfigError(f"{unread} would be ignored: the {args.estimator} estimator reads {reads}")
+    if not given >= set(names):
+        raise ConfigError(f"{args.estimator} estimator needs {reads}")
+    if (args.quantile_transform is None) != (args.level_seed is None):
+        raise ConfigError("give --quantile-transform and --level-seed together or neither")
+    window = {name: getattr(args, name) for name in names}
+    return GphConfig(**window) if args.estimator == "gph" else VariancePlotConfig(**window)
+
+
 def _cmd_estimate(args) -> int:
+    config = _estimate_config(args)
     series = read_series_csv(args.input)
     if args.quantile_transform is not None:
-        if args.level_seed is None:
-            raise ConfigError("--quantile-transform requires --level-seed")
         levels = draw_levels(args.quantile_transform, args.level_seed)
         series = transform_series(series, resolve_quantiles(series, levels))
-    if args.estimator == "variance":
-        n1, n2 = args.n1, args.n2
-        if args.delta is not None or args.m is not None:
-            n1, n2 = VariancePlotConfig(delta=args.delta, m=args.m).resolve(series.n)
-        elif n1 is None or n2 is None:
-            raise ConfigError("variance estimator needs --n1/--n2 or --delta/--m")
+    if isinstance(config, VariancePlotConfig):
+        n1, n2 = config.resolve(series.n)
         fit = variance_plot_slope(series, VariancePlotConfig(n1=n1, n2=n2))
         print(f"estimator variance window {n1} {n2}")
         print(f"slope {fit.slope:.6f}")
         print(f"label {classify_lrd_variance(fit)}")
     else:
-        if args.trim is None or args.bandwidth is None:
-            raise ConfigError("gph estimator needs --trim and --bandwidth")
-        fit = gph_estimate(series, GphConfig(trim=args.trim, bandwidth=args.bandwidth))
-        print(f"estimator gph window {args.trim} {args.bandwidth}")
+        fit = gph_estimate(series, config)
+        print(f"estimator gph window {config.trim} {config.bandwidth}")
         print(f"d {fit.slope:.6f}")
         print(f"label {classify_lrd_gph(fit)}")
     return 0

@@ -42,30 +42,6 @@ class QuantileMeasure:
         return int(self.levels.size)
 
 
-@dataclass(frozen=True)
-class ThresholdMeasure:
-    """Discrete measure sum_j w_j * delta(u_j) with positive weights."""
-
-    thresholds: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        thresholds = np.asarray(self.thresholds, dtype=np.float64)
-        weights = np.asarray(self.weights, dtype=np.float64)
-        if thresholds.size != weights.size or thresholds.size < 1:
-            raise ValueError("thresholds and weights must be nonempty and equally long")
-        if np.any(weights <= 0.0):
-            raise ValueError("weights must be positive")
-        thresholds.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "thresholds", thresholds)
-        object.__setattr__(self, "weights", weights)
-
-    @property
-    def total_weight(self) -> float:
-        return float(np.sum(self.weights))
-
-
 def draw_levels(psi: int, seed: int) -> QuantileMeasure:
     """psi uniform levels strictly inside (0, 1); a fixed seed yields a fixed
     panel meant to be shared by every series of a study."""
@@ -74,29 +50,44 @@ def draw_levels(psi: int, seed: int) -> QuantileMeasure:
     return QuantileMeasure(uniform_draws(seed, psi, name="level seed"))
 
 
-def resolve_quantiles(x: TimeSeries, q: QuantileMeasure) -> ThresholdMeasure:
-    """Thresholds at the ceil(a * n)-th order statistics of the series.
-
-    This left-continuous empirical quantile commutes with strictly increasing
-    maps, which the downstream invariance arguments rely on.
-    """
-    ordered = np.sort(x.values)
-    ranks = np.ceil(q.levels * x.n).astype(np.int64)
-    ranks = np.clip(ranks, 1, x.n)
-    return ThresholdMeasure(ordered[ranks - 1], np.full(q.psi, 1.0 / q.psi))
+def _thresholds(values: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Each row's ceil(a * n)-th order statistics, ascending and read-only:
+    left-continuous empirical quantiles, which commute with strictly increasing maps."""
+    n = values.shape[1]
+    ranks = np.sort(np.clip(np.ceil(levels * n).astype(np.int64), 1, n))
+    thresholds = np.sort(values, axis=1)[:, ranks - 1]
+    thresholds.setflags(write=False)
+    return thresholds
 
 
-def transform_series(x: TimeSeries, measure: ThresholdMeasure) -> TimeSeries:
-    """Pointwise weighted count of strictly exceeded thresholds.
+def _exceedance_shares(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Per entry, the share of its row's ascending thresholds strictly exceeded:
+    each weighs 1/psi, and a tie x(k) = u_j is not exceeded."""
+    psi = thresholds.shape[1]
+    shares = np.concatenate([[0.0], np.cumsum(np.full(psi, 1.0 / psi))])
+    out = np.empty(values.shape)
+    for row, u, row_out in zip(values, thresholds, out):
+        np.take(shares, np.searchsorted(u, row, side="left"), out=row_out)
+    return out
 
-    output(k) = sum_j w_j * 1{x(k) > u_j}; values lie in [0, total weight]
-    and are nondecreasing in x(k).  Ties x(k) = u_j count as not exceeded.
-    """
-    order = np.argsort(measure.thresholds, kind="stable")
-    thresholds = measure.thresholds[order]
-    cumulative = np.concatenate([[0.0], np.cumsum(measure.weights[order])])
-    exceeded = np.searchsorted(thresholds, x.values, side="left")
-    return TimeSeries(cumulative[exceeded])
+
+def excursion_rows(values: np.ndarray, q: QuantileMeasure) -> np.ndarray:
+    """Excursion-count transform of each row of a 2-D float array, against the row's own quantiles."""
+    return _exceedance_shares(values, _thresholds(values, q.levels))
+
+
+def resolve_quantiles(x: TimeSeries, q: QuantileMeasure) -> np.ndarray:
+    """The series' thresholds at the levels of q, as a read-only ascending array."""
+    return _thresholds(x.values[None, :], q.levels)[0]
+
+
+def transform_series(x: TimeSeries, thresholds) -> TimeSeries:
+    """Pointwise share of the thresholds, given in any order, that x(k) strictly
+    exceeds; the values lie in [0, 1] and are nondecreasing in x(k)."""
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+    if thresholds.ndim != 1 or thresholds.size < 1:
+        raise ValueError("thresholds must be a nonempty one-dimensional sequence")
+    return TimeSeries(_exceedance_shares(x.values[None, :], np.sort(thresholds)[None, :])[0])
 
 
 def ie_pipeline(

@@ -65,6 +65,13 @@ def naive_block_variances(x: TimeSeries, n1: int, n2: int) -> BlockVarianceCurve
     return BlockVarianceCurve(np.arange(n1, n2 + 1), out)
 
 
+def excursion_counts(x, levels) -> np.ndarray:
+    """#{j : x(k) > x_(ceil(a_j n))} for every k, as one broadcast comparison."""
+    x = np.asarray(x, dtype=np.float64)
+    thresholds = np.sort(x)[np.ceil(np.asarray(levels) * x.size).astype(np.int64) - 1]
+    return np.count_nonzero(x[:, None] > thresholds[None, :], axis=1)
+
+
 def csv_reader_series(path) -> TimeSeries:
     """The series CSV rules restated row by row through ``csv.reader``: an
     optional ``value`` header, empty rows skipped, exactly one column per row."""

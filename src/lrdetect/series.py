@@ -74,14 +74,14 @@ def ols_slope(xs, ys) -> RegressionFit:
 
 
 def read_series_csv(path) -> TimeSeries:
-    """Read a single-column CSV: an optional ``value`` header (any case, padded),
-    then one unquoted float per line in time order; empty lines are skipped.
+    """Read a single-column UTF-8 CSV: an optional ``value`` header (any case,
+    padded), then one unquoted float per line in time order; empty lines are skipped.
 
     The file converts in one call; only when that fails is it scanned for the
     offending line, which the error names together with the file.
     """
     path = Path(path)
-    text = path.read_text()
+    text = path.read_text(encoding="utf-8", errors="surrogateescape")
     if not text:
         raise ValueError(f"{path}: empty file")
     # Universal newlines leave "\n" the one line end, as csv.reader has it;
@@ -95,6 +95,10 @@ def read_series_csv(path) -> TimeSeries:
     if values is not None and values.size and np.isfinite(values).all():
         return TimeSeries(values)
     for number, line in enumerate(lines[start:], start + 1):
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate: a byte that was not UTF-8
+            raise ValueError(f"{path}: line {number}: not UTF-8 text") from None
         if "," in line:
             raise ValueError(f"{path}: line {number}: expected a single column, got {line.count(',') + 1}")
         try:

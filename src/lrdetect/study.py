@@ -24,10 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .excursion import MAX_PSI, QuantileMeasure, draw_levels, resolve_quantiles, transform_series
+from .excursion import MAX_PSI, QuantileMeasure, draw_levels, excursion_rows
 from .fgn import FgnParams, simulate_fgn_paths
 from .gph import GPH_LRD_THRESHOLD, gph_regressors, ordinate_rows
-from .series import TimeSeries
 from .varplot import VARIANCE_LRD_THRESHOLD, block_variance_rows
 
 SCENARIOS = ("fgn", "subordinated-fgn")
@@ -411,20 +410,6 @@ class _LengthKernel:
         )
 
 
-def _excursion_rows(squares: np.ndarray, levels: QuantileMeasure) -> np.ndarray:
-    """Excursion-count transform of each row of y^2.
-
-    The subordinated process exp(y^2 / (2 alpha)) rises strictly with y^2, and
-    the transform is invariant under strictly increasing maps, so transforming
-    y^2 gives its labels for every alpha > 0 without overflowing.
-    """
-    out = np.empty_like(squares)
-    for i, row in enumerate(squares):
-        series = TimeSeries(row)
-        out[i] = transform_series(series, resolve_quantiles(series, levels)).values
-    return out
-
-
 def _tally(grid: WindowGrid, logs: np.ndarray, threshold: float) -> np.ndarray:
     """Per window, how many rows are labelled [non-LRD, LRD, skip]; LRD iff slope > threshold."""
     counts = np.empty((grid.size, 3), dtype=np.int64)
@@ -447,7 +432,9 @@ def _cell_counts(
     seeds = [replication_seed(cfg.master_seed, cfg.scenario, h_index, rep) for rep in range(first, stop)]
     rows = simulate_fgn_paths(FgnParams(hurst=cfg.resolved_hurst_grid()[h_index], n=n), seeds)
     if levels is not None:
-        rows = _excursion_rows(rows * rows, levels)
+        # exp(y^2 / (2 alpha)) rises strictly with y^2 and the transform is invariant
+        # under strictly increasing maps, so y^2 gives every alpha's labels without overflow
+        rows = excursion_rows(rows * rows, levels)
     kernel = kernels[n]
     # zero block variances and ordinates become -inf: their windows are skips
     with np.errstate(divide="ignore"):

@@ -160,6 +160,27 @@ def test_estimate_missing_window_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["variance", "--n1", "1", "--n2", "4", "--delta", "0.25", "--m", "4"], "--n1, --n2 would be ignored"),
+        (["variance", "--n1", "1", "--delta", "0.25", "--m", "4"], "--n1 would be ignored"),
+        (["variance", "--n1", "1", "--n2", "4", "--bandwidth", "20"], "--bandwidth would be ignored"),
+        (["gph", "--trim", "1", "--bandwidth", "20", "--n1", "3"], "--n1 would be ignored"),
+        (["gph", "--trim", "1", "--bandwidth", "20", "--delta", "0.25"], "--delta would be ignored"),
+        (["variance", "--n1", "1", "--n2", "4", "--level-seed", "5"], "--level-seed together or neither"),
+    ],
+)
+def test_estimate_rejects_flags_it_would_ignore(tmp_path, capsys, flags, named):
+    # the series file does not exist: the flags are rejected before it is read
+    missing = tmp_path / "absent.csv"
+    assert main(["estimate", str(missing), "--estimator", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and named in captured.err
+    assert str(missing) not in captured.err
+
+
 def test_study_with_config_file_and_overrides(tmp_path, capsys):
     cfg = {
         "lengths": [60],

@@ -6,7 +6,6 @@ from lrdetect import (
     GphConfig,
     QuantileMeasure,
     SubordinationParams,
-    ThresholdMeasure,
     TimeSeries,
     VariancePlotConfig,
     draw_levels,
@@ -17,48 +16,45 @@ from lrdetect import (
     subordinate,
     transform_series,
 )
-from lrdetect.excursion import MAX_PSI
+from lrdetect.excursion import MAX_PSI, excursion_rows
+from lrdetect.oracles import excursion_counts
 
 
 def test_resolve_quantiles_order_statistic():
     x = TimeSeries([5.0, 1.0, 3.0])
     m = resolve_quantiles(x, QuantileMeasure([0.5]))
-    assert m.thresholds[0] == 3.0  # ceil(0.5 * 3) = 2nd order statistic
-    assert m.weights[0] == 1.0
+    assert m[0] == 3.0  # ceil(0.5 * 3) = 2nd order statistic
 
 
 def test_resolve_quantiles_top_level_hits_maximum():
     x = TimeSeries([2.0, 9.0, 4.0, 7.0])
     m = resolve_quantiles(x, QuantileMeasure([0.999]))
-    assert m.thresholds[0] == 9.0
+    assert m[0] == 9.0
 
 
 def test_resolve_quantiles_constant_series():
     x = TimeSeries([4.2] * 7)
     m = resolve_quantiles(x, QuantileMeasure([0.1, 0.5, 0.9]))
-    assert np.all(m.thresholds == 4.2)
-    assert np.allclose(m.weights, 1.0 / 3.0)
+    assert np.all(m == 4.2)
 
 
 def test_transform_single_threshold():
-    out = transform_series(
-        TimeSeries([1.0, 2.0, 3.0, 4.0, 5.0]), ThresholdMeasure([2.5], [1.0])
-    )
+    out = transform_series(TimeSeries([1.0, 2.0, 3.0, 4.0, 5.0]), [2.5])
     assert out.values.tolist() == [0.0, 0.0, 1.0, 1.0, 1.0]
 
 
 def test_transform_thresholds_above_maximum_give_zero():
-    out = transform_series(TimeSeries([1.0, 2.0]), ThresholdMeasure([5.0, 9.0], [1.0, 1.0]))
+    out = transform_series(TimeSeries([1.0, 2.0]), [5.0, 9.0])
     assert np.all(out.values == 0.0)
 
 
 def test_transform_weighted_count():
-    out = transform_series(TimeSeries([1.0, 3.0]), ThresholdMeasure([0.5, 2.0], [0.5, 0.5]))
+    out = transform_series(TimeSeries([1.0, 3.0]), [0.5, 2.0])
     assert out.values.tolist() == [0.5, 1.0]
 
 
 def test_transform_ties_do_not_count():
-    out = transform_series(TimeSeries([2.0, 2.5]), ThresholdMeasure([2.0], [1.0]))
+    out = transform_series(TimeSeries([2.0, 2.5]), [2.0])
     assert out.values.tolist() == [0.0, 1.0]
 
 
@@ -69,9 +65,33 @@ def test_transform_bounded_and_monotone():
     out = transform_series(x, measure)
     assert out.n == x.n
     assert np.all(out.values >= 0.0)
-    assert np.all(out.values <= measure.total_weight + 1e-12)
+    assert np.all(out.values <= 1.0 + 1e-12)
     order = np.argsort(x.values)
     assert np.all(np.diff(out.values[order]) >= 0.0)
+
+
+@pytest.mark.parametrize("n", [4, 50, 500])
+@pytest.mark.parametrize("psi", [1, 7, 100, 5000])
+def test_excursion_rows_match_single_series_and_oracle(psi, n):
+    rng = np.random.default_rng(1000 * psi + n)
+    rows = rng.standard_normal((5, n))
+    rows[1] = 2.5  # constant
+    rows[2] = rng.integers(0, 3, size=n)  # few values, each repeated
+    rows[3] = np.round(rows[3], 1)  # ties among the thresholds and the values
+    rows[4] = np.exp(rows[4])
+    levels = draw_levels(psi, n)
+    out = excursion_rows(rows, levels)
+    for row, got in zip(rows, out):
+        series = TimeSeries(row)
+        thresholds = resolve_quantiles(series, levels)
+        assert got.tobytes() == transform_series(series, thresholds).values.tobytes()
+        assert got.tobytes() == transform_series(series, thresholds[::-1]).values.tobytes()
+        assert np.array_equal(np.rint(got * psi), excursion_counts(row, levels.levels))
+
+
+def test_transform_rejects_empty_thresholds():
+    with pytest.raises(ValueError, match="thresholds"):
+        transform_series(TimeSeries([1.0, 2.0]), [])
 
 
 def test_pipeline_invariant_under_increasing_maps():
@@ -140,10 +160,6 @@ def test_measure_validation():
         QuantileMeasure([0.0, 0.5])
     with pytest.raises(ValueError):
         QuantileMeasure([0.5, 1.0])
-    with pytest.raises(ValueError):
-        ThresholdMeasure([1.0], [0.0])
-    with pytest.raises(ValueError):
-        ThresholdMeasure([1.0, 2.0], [1.0])
 
 
 def test_draw_levels_rejects_psi_above_ceiling():

@@ -152,6 +152,7 @@ REJECTED = {
     "form feed inside a line": (["1.0\x0c2.0"], "line 1: expected a finite float"),
     "nan": (["value", "nan", "1.0"], "line 2: expected a finite float, got 'nan'"),
     "infinite": (["value", "1.0", "1e999"], "line 3: expected a finite float, got '1e999'"),
+    "not UTF-8": (["value", "1.0", "2.0\udcff\udcfe", "3.0"], "line 3: not UTF-8 text"),
 }
 
 
@@ -159,7 +160,7 @@ REJECTED = {
 @pytest.mark.parametrize("lines, message", REJECTED.values(), ids=REJECTED.keys())
 def test_series_csv_reader_errors_name_file_and_line(tmp_path, lines, message, ending):
     path = tmp_path / "series.csv"
-    path.write_bytes("".join(line + ending for line in lines).encode())
+    path.write_bytes("".join(line + ending for line in lines).encode(errors="surrogateescape"))
     with pytest.raises(ValueError):
         csv_reader_series(path)
     with pytest.raises(ValueError) as excinfo:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,20 @@ def test_subordinated_metrics_invariant_in_alpha(tmp_path):
         paths = write_study_outputs(cfg, run_study(cfg), tmp_path / f"alpha{alpha}")
         outputs[alpha] = paths[0].read_bytes()
     assert outputs[1.0] == outputs[0.5]
+
+
+def test_subordinated_study_csvs_match_recorded_digest(tmp_path):
+    # seed 0, default grids; recorded when the study still transformed one
+    # TimeSeries at a time, so the batched transform must keep every byte
+    cfg = StudyConfig(scenario="subordinated-fgn", lengths=(50, 100, 200, 500), replications=10, master_seed=0)
+    paths = write_study_outputs(cfg, run_study(cfg), tmp_path)
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths} == {
+        "results_subordinated-fgn_n50.csv": "f2b2ea7fd5c7c27481755210b53763ca99ceec2e0843332bcc99ee1028385d0f",
+        "results_subordinated-fgn_n100.csv": "93539318ca1bc276a95a1fe3f26805d1ac5058709b1a29f3ac779462ee552a62",
+        "results_subordinated-fgn_n200.csv": "058f8aab919e1733a9e1701de62197aa11139fd8ccc73d366b440bc69b841782",
+        "results_subordinated-fgn_n500.csv": "a5d8f088b5c3d1f35f08d5754bd0e974c7b214c7b4f2acac3a2ef11630296cd1",
+        "manifest_subordinated-fgn.json": "432d2646ec9358a20ecbaeb9accb9db1f6a589adf6226d7ee29052ac45b646b9",
+    }
 
 
 def test_subordinated_study_does_not_overflow_on_small_alpha():
