@@ -104,7 +104,10 @@ def _study_config(args) -> tuple[StudyConfig, Path]:
     the values given there, plus the CLI's own defaults for replications and lengths."""
     file_cfg = {}
     if args.config is not None:
-        file_cfg = json.loads(Path(args.config).read_text())
+        try:
+            file_cfg = json.loads(Path(args.config).read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{args.config}: not valid JSON: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"{args.config}: expected a JSON object of study settings")
         unknown = sorted(set(file_cfg) - STUDY_CONFIG_KEYS)
@@ -135,7 +138,10 @@ def _study_config(args) -> tuple[StudyConfig, Path]:
     if scale is not None:
         if isinstance(scale, bool) or not isinstance(scale, (int, float)) or not 0 < scale < math.inf:
             raise ConfigError(f"scale must be a positive number, got {scale!r}")
-        settings.setdefault("replications", round(1000 * scale))
+        if "replications" not in settings:
+            settings["replications"] = round(1000 * scale)
+            if settings["replications"] < 1:
+                raise ConfigError(f"scale must give at least 1 replication (1000 * scale rounds to 0), got {scale!r}")
     out_dir = settings.pop("out_dir")
     if not isinstance(out_dir, str):
         raise ConfigError(f"out_dir must be a path, got {out_dir!r}")

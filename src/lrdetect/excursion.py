@@ -47,7 +47,7 @@ def draw_levels(psi: int, seed: int) -> QuantileMeasure:
     panel meant to be shared by every series of a study."""
     if not 1 <= psi <= MAX_PSI:
         raise ValueError(f"psi must lie in [1, {MAX_PSI}], got {psi}")
-    return QuantileMeasure(uniform_draws(seed, psi, name="level seed"))
+    return QuantileMeasure(uniform_draws([seed], psi, name="level seed")[0])
 
 
 def _thresholds(values: np.ndarray, levels: np.ndarray) -> np.ndarray:

@@ -89,16 +89,29 @@ def _autocovariance_vector(params: FgnParams, lags) -> np.ndarray:
     return out
 
 
-def uniform_draws(seed: int, size: int, name: str = "seed") -> np.ndarray:
-    """``size`` uniforms from a Philox generator keyed by ``seed``, on a
-    strict-interior dyadic grid: a fixed draw count per variate, never 0 or 1.
+def uniform_draws(seeds, size: int, name: str = "seed") -> np.ndarray:
+    """One row of ``size`` uniforms per seed, row i from a Philox generator keyed
+    by ``seeds[i]``, on a strict-interior dyadic grid: a fixed draw count per
+    variate, never 0 or 1.
 
-    ``seed`` must lie in [0, 2**64); ``name`` labels it in the ValueError.
+    Every seed must lie in [0, 2**64); ``name`` labels one that does not in the
+    ValueError.  One generator is re-keyed per row through its ``state``, which
+    draws what a fresh ``Philox(key=seed)`` would.
     """
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"{name} must lie in [0, 2**64), got {seed}")
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    return (rng.integers(0, 1 << 53, size=size) + 0.5) * 2.0**-53
+    seeds = [int(seed) for seed in seeds]
+    for seed in seeds:
+        if not 0 <= seed < 1 << 64:
+            raise ValueError(f"{name} must lie in [0, 2**64), got {seed}")
+    bits = np.random.Philox(key=0)
+    draw = np.random.Generator(bits).integers
+    state = bits.state  # zero counter, empty buffer: a fresh generator's state
+    out = np.empty((len(seeds), size))
+    for row, seed in zip(out, seeds):
+        state["state"]["key"] = np.array([seed, 0], dtype=np.uint64)
+        bits.state = state
+        np.add(draw(0, 1 << 53, size=size), 0.5, out=row)
+    out *= 2.0**-53
+    return out
 
 
 @lru_cache(maxsize=16)
@@ -130,22 +143,21 @@ def simulate_fgn_paths(params: FgnParams, seeds) -> np.ndarray:
     eigenvalue spectrum scales independent complex Gaussians, so every row
     carries exactly the target finite-dimensional law.  Each seed draws from
     its own generator and one FFT along the rows transforms them all, so a
-    row does not depend on the other seeds.
+    row does not depend on the other seeds.  The normals of all rows are drawn,
+    transformed and laid out as one batch.
     """
     n = params.n
+    draws = ndtri(uniform_draws(seeds, 1 if n == 1 else 2 * (n - 1)))
     if n == 1:
-        draws = np.array([ndtri(uniform_draws(seed, 1))[0] for seed in seeds])
-        return (math.sqrt(params.sigma2) * draws).reshape(-1, 1)
+        return math.sqrt(params.sigma2) * draws
 
     amplitudes = _embedding_amplitudes(params)
     m = amplitudes.size  # 2(n-1)
-    seeds = list(seeds)
-    w = np.empty((len(seeds), m), dtype=np.complex128)
-    for row, seed in zip(w, seeds):
-        draws = ndtri(uniform_draws(seed, m))
-        row[0] = draws[0]
-        row[n - 1] = draws[1]
-        row[1 : n - 1] = (draws[2::2] + 1j * draws[3::2]) / math.sqrt(2.0)
+    w = np.empty(draws.shape, dtype=np.complex128)
+    w[:, 0] = draws[:, 0]
+    w[:, n - 1] = draws[:, 1]
+    w[:, 1 : n - 1] = (draws[:, 2::2] + 1j * draws[:, 3::2]) / math.sqrt(2.0)
+    del draws  # freed before the FFT allocates two more arrays of its size
     np.conjugate(w[:, n - 2 : 0 : -1], out=w[:, n:])
     return np.fft.fft(amplitudes * w, axis=1).real[:, :n] / math.sqrt(m)
 

@@ -88,3 +88,14 @@ def csv_reader_series(path) -> TimeSeries:
             raise ValueError(f"{path}: expected a single column, got {len(row)}")
         values.append(float(row[0]))
     return TimeSeries(values)
+
+
+def seed_hash(*entropy: int) -> int:
+    """The study's seed hash through numpy's own ``SeedSequence``."""
+    return int(np.random.SeedSequence([int(e) for e in entropy]).generate_state(1, np.uint64)[0])
+
+
+def philox_uniforms(seed: int, size: int) -> np.ndarray:
+    """``size`` dyadic uniforms (k + 1/2) / 2**53 from a fresh Philox generator keyed by ``seed``."""
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    return (rng.integers(0, 1 << 53, size=size) + 0.5) * 2.0**-53

@@ -105,8 +105,68 @@ def default_gph_grid(n: int) -> list[tuple[int, int]]:
     return [(marks[i], marks[j]) for i in range(len(marks)) for j in range(i + 1, len(marks))]
 
 
-def _seed_hash(*entropy: int) -> int:
-    return int(np.random.SeedSequence([int(e) for e in entropy]).generate_state(1, np.uint64)[0])
+# SeedSequence's hash constants, for _seed_hash's port of its pool mixing.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+
+def _seed_hash(*entropy):
+    """``SeedSequence(entropy).generate_state(1, np.uint64)[0]``, as a uint64.
+
+    A port of SeedSequence's pool mixing to 32-bit words held as Python ints
+    or uint32 arrays, so a cell's seeds cost one pass: a 1-D array among
+    ``entropy`` gives a uint64 array, one hash per entry, and each entry must
+    fit in one word.  An integer contributes its 32-bit words, least
+    significant first, as SeedSequence splits it.
+    """
+    mask = 0xFFFFFFFF
+    words = []
+    for e in entropy:
+        if np.ndim(e):
+            e = np.asarray(e)
+            if e.size and not 0 <= e.min() <= e.max() <= mask:
+                raise ValueError("array entropy entries must lie in [0, 2**32)")
+            words.append(e.astype(np.uint32))
+            continue
+        e = int(e)
+        if e < 0:
+            raise ValueError(f"expected non-negative integer, got {e}")
+        words.append(e & mask)
+        while e >> 32:
+            e >>= 32
+            words.append(e & mask)
+
+    def hasher(const: int, mult: int):
+        """SeedSequence's word hash; ``const`` advances by ``mult`` at every call."""
+
+        def step(value):
+            nonlocal const
+            value = value ^ const
+            const = const * mult & mask
+            value = value * const & mask
+            return value ^ value >> 16
+
+        return step
+
+    def mix(x, y):
+        result = (_MIX_L * x & mask) - (_MIX_R * y & mask) & mask
+        return result ^ result >> 16
+
+    hashmix = hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(1, np.uint64): two 32-bit outputs, the first one low
+    output = hasher(_INIT_B, _MULT_B)
+    low, high = (np.asarray(output(value), dtype=np.uint64) for value in pool[:2])
+    return low | high << np.uint64(32)
 
 
 def replication_seed(master_seed: int, scenario: str, h_index: int, rep_index: int) -> int:
@@ -115,7 +175,7 @@ def replication_seed(master_seed: int, scenario: str, h_index: int, rep_index: i
     Hashing instead of streaming keeps existing draws fixed when a grid is
     resized or extended.
     """
-    return _seed_hash(master_seed, _SCENARIO_CODE[scenario], h_index, rep_index)
+    return int(_seed_hash(master_seed, _SCENARIO_CODE[scenario], h_index, rep_index))
 
 
 def _integer(name: str, value) -> int:
@@ -214,7 +274,7 @@ class StudyConfig:
     def resolved_level_seed(self) -> int:
         if self.level_seed is not None:
             return int(self.level_seed)
-        return _seed_hash(self.master_seed, _LEVELS_STREAM)
+        return int(_seed_hash(self.master_seed, _LEVELS_STREAM))
 
     def resolved_hurst_grid(self) -> tuple[float, ...]:
         if self.hurst_grid is not None:
@@ -291,8 +351,10 @@ class WindowGrid:
     matches ``ols_slope`` to ~1e-12 relative even for narrow windows far from
     the origin, where differences of prefix sums cancel catastrophically.
 
-    Only per-window scalars are stored; the (segments x windows) membership
-    and weight blocks, at most ``_CHUNK`` elements each, are rebuilt on use.
+    The (segments x windows) weight blocks, at most ``_CHUNK`` elements each,
+    are built once, here, and serve every call.  A boolean membership block
+    is kept beside each only when some segment holds more than one point:
+    otherwise every x_j - a_s is zero, and so is every C_s.
     """
 
     def __init__(self, xs, windows):
@@ -308,6 +370,7 @@ class WindowGrid:
         self._stop = np.searchsorted(cuts, stops)
         self._anchors = xs[cuts[:-1]]
         self._offsets = xs[self._span] - np.repeat(self._anchors, sizes)
+        self._spread = bool(np.any(sizes > 1))
 
         sums = np.add.reduceat(self._offsets, self._cuts)
         squares = np.add.reduceat(self._offsets * self._offsets, self._cuts)
@@ -316,7 +379,14 @@ class WindowGrid:
         self._mean = np.empty(self.size)
         self._residual = np.zeros(self.size)
         self._sxx = np.empty(self.size)
-        for cols, segs, inside in self._blocks(1):
+        # (window slice, segment slice, weights, membership or None)
+        self._blocks = []
+        step = max(1, _CHUNK // self._cuts.size)
+        for start in range(0, self.size, step):
+            cols = slice(start, min(start + step, self.size))
+            segs = slice(int(self._first[cols].min()), int(self._stop[cols].max()))
+            index = np.arange(segs.start, segs.stop)[:, None]
+            inside = (index >= self._first[cols]) & (index < self._stop[cols])
             block = inside.astype(np.float64)
             self._mean[cols] = ((sizes[segs] * self._anchors[segs] + sums[segs]) @ block) / counts[cols]
             offset_sums = sums[segs] @ block
@@ -325,16 +395,7 @@ class WindowGrid:
             self._residual[cols] = (offset_sums + sizes[segs] @ deviations) / counts[cols]
             weights = self._weights(cols, segs, inside, out=block)
             self._sxx[cols] = offset_squares + 2.0 * (sums[segs] @ weights) + sizes[segs] @ (weights * weights)
-
-    def _blocks(self, rows: int):
-        """(window slice, segment slice, boolean membership) blocks; neither the
-        membership nor the slopes of ``rows`` rows exceed _CHUNK elements."""
-        step = max(1, _CHUNK // max(self._cuts.size, rows))
-        for start in range(0, self.size, step):
-            cols = slice(start, min(start + step, self.size))
-            segs = slice(int(self._first[cols].min()), int(self._stop[cols].max()))
-            index = np.arange(segs.start, segs.stop)[:, None]
-            yield cols, segs, (index >= self._first[cols]) & (index < self._stop[cols])
+            self._blocks.append((cols, segs, weights, inside if self._spread else None))
 
     def _weights(self, cols, segs, inside, out):
         """Per-segment weights a_s - xbar_w - r_w, zero outside each window, written to ``out``."""
@@ -358,17 +419,21 @@ class WindowGrid:
             np.cumsum(per_segment, axis=1, out=prefix[:, 1:])
             flagged = prefix[:, self._stop] > prefix[:, self._first]
         sums = np.add.reduceat(values, self._cuts, axis=1)
-        moments = np.add.reduceat(values * self._offsets, self._cuts, axis=1)
-        for cols, segs, inside in self._blocks(values.shape[0]):
-            # one float block, first the 0/1 membership, then the weights:
-            # a second block-sized array would double the memory churned per call
-            block = inside.astype(np.float64)
-            slopes = moments[:, segs] @ block
-            slopes += sums[:, segs] @ self._weights(cols, segs, inside, out=block)
-            slopes /= self._sxx[cols]
-            if flagged is not None:
-                slopes[flagged[:, cols]] = np.nan
-            yield cols, slopes
+        if self._spread:
+            moments = np.add.reduceat(values * self._offsets, self._cuts, axis=1)
+        # a block of slopes holds at most _CHUNK elements too
+        step = max(1, _CHUNK // max(self._cuts.size, values.shape[0]))
+        for cols, segs, weights, inside in self._blocks:
+            for start in range(cols.start, cols.stop, step):
+                window = slice(start, min(start + step, cols.stop))
+                part = slice(window.start - cols.start, window.stop - cols.start)
+                slopes = sums[:, segs] @ weights[:, part]
+                if inside is not None:
+                    slopes += moments[:, segs] @ inside[:, part].astype(np.float64)
+                slopes /= self._sxx[window]
+                if flagged is not None:
+                    slopes[flagged[:, window]] = np.nan
+                yield window, slopes
 
     def slopes(self, ys) -> np.ndarray:
         """Slopes of every row (axis 0 of ``ys``) over every window, shape (rows, windows)."""
@@ -393,6 +458,7 @@ class _LengthKernel:
     over frequency indices 1..n-1.
     """
 
+    n: int
     lmin: int
     lmax: int
     variance: WindowGrid
@@ -403,6 +469,7 @@ class _LengthKernel:
         lmin, lmax = int(var_grid[:, 0].min()), int(var_grid[:, 1].max())
         lengths = np.arange(lmin, lmax + 1, dtype=np.float64)
         return cls(
+            n,
             lmin,
             lmax,
             WindowGrid(np.log(lengths), var_grid - lmin),
@@ -423,19 +490,18 @@ def _tally(grid: WindowGrid, logs: np.ndarray, threshold: float) -> np.ndarray:
 def _cell_counts(
     cfg: StudyConfig,
     levels: QuantileMeasure | None,
-    kernels: dict[int, _LengthKernel],
+    kernel: _LengthKernel,
     cell: tuple[int, int, int, int],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Label counts of both estimators over one cell: replications first..stop-1
     of one Hurst value at length n, simulated and classified as one batch."""
     n, h_index, first, stop = cell
-    seeds = [replication_seed(cfg.master_seed, cfg.scenario, h_index, rep) for rep in range(first, stop)]
+    seeds = _seed_hash(cfg.master_seed, _SCENARIO_CODE[cfg.scenario], h_index, np.arange(first, stop))
     rows = simulate_fgn_paths(FgnParams(hurst=cfg.resolved_hurst_grid()[h_index], n=n), seeds)
     if levels is not None:
         # exp(y^2 / (2 alpha)) rises strictly with y^2 and the transform is invariant
         # under strictly increasing maps, so y^2 gives every alpha's labels without overflow
         rows = excursion_rows(rows * rows, levels)
-    kernel = kernels[n]
     # zero block variances and ordinates become -inf: their windows are skips
     with np.errstate(divide="ignore"):
         var_logs = np.log(block_variance_rows(rows, kernel.lmin, kernel.lmax))
@@ -444,6 +510,32 @@ def _cell_counts(
         _tally(kernel.variance, var_logs, VARIANCE_LRD_THRESHOLD),
         _tally(kernel.gph, gph_logs, GPH_LRD_THRESHOLD),
     )
+
+
+class _CellRunner:
+    """Evaluates the cells of one study run, holding one length's kernel at a time.
+
+    Cells arrive grouped by length, so a length's kernel is built when its
+    first cell runs and dropped when the next length starts.  A pickled
+    runner, as pool workers receive it, carries no kernel: each worker
+    builds the kernels of the cells it receives.
+    """
+
+    def __init__(self, cfg: StudyConfig, levels: QuantileMeasure | None, grids: dict):
+        self.cfg = cfg
+        self.levels = levels
+        self.grids = grids
+        self._kernel = None
+
+    def __getstate__(self):
+        return {**self.__dict__, "_kernel": None}
+
+    def __call__(self, cell: tuple[int, int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+        n = cell[0]
+        if self._kernel is None or self._kernel.n != n:
+            self._kernel = None  # free the last length's blocks before building the next
+            self._kernel = _LengthKernel.build(n, *self.grids[n])
+        return _cell_counts(self.cfg, self.levels, self._kernel, cell)
 
 
 def run_study(cfg: StudyConfig) -> list[MetricsReport]:
@@ -461,7 +553,6 @@ def run_study(cfg: StudyConfig) -> list[MetricsReport]:
         levels = draw_levels(cfg.psi, cfg.resolved_level_seed())
     truths = [int(ground_truth_label(cfg.scenario, h) == "LRD") for h in hurst_grid]
     grids = {n: cfg.grids_for(n) for n in cfg.lengths}
-    kernels = {n: _LengthKernel.build(n, *grids[n]) for n in cfg.lengths}
     cells = []
     for n in cfg.lengths:
         rows = max(1, _CHUNK // (2 * n))
@@ -475,7 +566,7 @@ def run_study(cfg: StudyConfig) -> list[MetricsReport]:
         n: tuple(np.zeros((grid.shape[0], 2, 3), dtype=np.int64) for grid in grids[n])
         for n in cfg.lengths
     }
-    evaluate = partial(_cell_counts, cfg, levels, kernels)
+    evaluate = _CellRunner(cfg, levels, grids)
     size = pool_size(cfg.workers, len(cells))
     with ProcessPoolExecutor(max_workers=size) if size > 1 else contextlib.nullcontext() as pool:
         if pool is None:
@@ -489,20 +580,21 @@ def run_study(cfg: StudyConfig) -> list[MetricsReport]:
     reports: list[MetricsReport] = []
     for n in cfg.lengths:
         for estimator, grid, tally in zip(("variance", "gph"), grids[n], counts[n]):
-            for idx in range(grid.shape[0]):
-                reports.append(
-                    MetricsReport(
-                        estimator=estimator,
-                        n1=int(grid[idx, 0]),
-                        n2=int(grid[idx, 1]),
-                        series_length=n,
-                        tp=int(tally[idx, 1, 1]),
-                        fp=int(tally[idx, 0, 1]),
-                        tn=int(tally[idx, 0, 0]),
-                        fn=int(tally[idx, 1, 0]),
-                        skips=int(tally[idx, 0, 2] + tally[idx, 1, 2]),
-                    )
-                )
+            # one list per column: a list per window allocates enough containers
+            # to set off a full garbage collection of the heap
+            columns = (
+                grid[:, 0],
+                grid[:, 1],
+                tally[:, 1, 1],  # tp
+                tally[:, 0, 1],  # fp
+                tally[:, 0, 0],  # tn
+                tally[:, 1, 0],  # fn
+                tally[:, :, 2].sum(axis=1),  # skips
+            )
+            reports += [
+                MetricsReport(estimator, n1, n2, n, tp, fp, tn, fn, skips)
+                for n1, n2, tp, fp, tn, fn, skips in zip(*(column.tolist() for column in columns))
+            ]
     return reports
 
 
@@ -544,7 +636,9 @@ def write_study_outputs(cfg: StudyConfig, reports: list[MetricsReport], out_dir)
                 writer.writerow([*_CSV_PLAIN(r), *metrics])
         written.append(path)
     manifest = out_dir / f"manifest_{cfg.scenario}.json"
-    manifest.write_text(json.dumps(cfg.manifest_dict(), sort_keys=True, indent=2) + "\n")
+    with manifest.open("w") as fh:
+        json.dump(cfg.manifest_dict(), fh, sort_keys=True, indent=2)
+        fh.write("\n")
     written.append(manifest)
     return written
 

@@ -121,7 +121,7 @@ def block_variance_rows(values: np.ndarray, n1: int, n2: int) -> np.ndarray:
         raise ValueError(f"need 1 <= n1 <= n2, got ({n1}, {n2})")
     if n2 > n:
         raise WindowExceedsSeries(f"n2={n2} exceeds series length {n}")
-    means = np.array([math.fsum(row) / n for row in values])
+    means = np.array([math.fsum(memoryview(row)) / n for row in values])
     prefix = np.zeros((rows, n + 1))
     np.subtract(values, means[:, None], out=prefix[:, 1:])
     np.cumsum(prefix[:, 1:], axis=1, out=prefix[:, 1:])

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lrdetect import read_series_csv, replication_seed
+from lrdetect import cli, read_series_csv, replication_seed
 from lrdetect.cli import main
 
 
@@ -312,6 +312,7 @@ BAD_CONFIGS = [
     ({"seed": 1, "master_seed": 2}, "seed or master_seed"),
     ({"scale": "0.1"}, "scale"),
     ({"scale": "0.1", "replications": 2}, "scale"),
+    ({"scale": 0.0004}, "scale"),  # rounds to 0 replications
     ({"out_dir": 3}, "out_dir"),
 ]
 
@@ -324,6 +325,31 @@ def test_study_rejects_bad_config_values_before_compute(tmp_path, capsys, cfg, k
     assert code == 1
     assert err.startswith("error:") and key in err
     assert not wrote
+
+
+@pytest.mark.parametrize(
+    "config,flags,message",
+    [
+        ('{"lengths": [50], }', ["--scale", "0.1"], "{config}: not valid JSON: "),
+        (None, ["--scale", "0.0004"], "scale must give at least 1 replication"),
+    ],
+    ids=["malformed-json", "scale-rounds-to-zero"],
+)
+def test_study_input_errors_name_what_was_given(tmp_path, capsys, monkeypatch, config, flags, message):
+    def no_compute(cfg):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr(cli, "run_study", no_compute)
+    out_dir = tmp_path / "out"
+    argv = ["study", "--seed", "1", "--scenario", "fgn", "--workers", "1", "--out-dir", str(out_dir), *flags]
+    if config is not None:
+        path = tmp_path / "bad.json"
+        path.write_text(config)
+        argv += ["--config", str(path)]
+        message = message.format(config=path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize(

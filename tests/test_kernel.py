@@ -1,7 +1,11 @@
 """The study's batched kernel: exact window slopes and row functions that match the per-series ones."""
 
+import pickle
+import weakref
+
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from lrdetect import (
     FgnParams,
@@ -10,11 +14,12 @@ from lrdetect import (
     default_gph_grid,
     default_variance_grid,
     ols_slope,
+    replication_seed,
     run_study,
     simulate_fgn,
 )
-from lrdetect import study
-from lrdetect.fgn import simulate_fgn_paths
+from lrdetect import oracles, study
+from lrdetect.fgn import simulate_fgn_paths, uniform_draws
 from lrdetect.gph import full_ordinates, gph_regressors, ordinate_rows
 from lrdetect.study import WindowGrid
 from lrdetect.varplot import block_variance_rows
@@ -125,3 +130,57 @@ def test_zero_variance_windows_and_constant_series_count_as_skips():
     grid = WindowGrid(np.log(np.arange(1.0, 9.0)), [(0, 3), (1, 7)])
     assert np.all(np.isnan(grid.slopes(var_logs)))
     assert np.all(np.isnan(WindowGrid(gph_regressors(np.arange(1, 50), 50), [(0, 9)]).slopes(gph_logs)))
+
+
+@pytest.mark.parametrize("master", [0, 1, 2**32 - 1, 2**32 + 5, 2**64 + 1])
+def test_seed_hash_matches_seed_sequence(master):
+    # masters of 2 and 3 words make 5- and 6-word path entropy, past the 4-word pool
+    reps = np.array([0, 1, 2, 99, 655, 2**31, 2**32 - 1])
+    hashes = study._seed_hash(master, 1, 7, reps)
+    assert hashes.dtype == np.uint64
+    assert hashes.tolist() == [oracles.seed_hash(master, 1, 7, r) for r in reps.tolist()]
+    assert replication_seed(master, "subordinated-fgn", 7, 99) == oracles.seed_hash(master, 1, 7, 99)
+    # the level seed's entropy, (master, 2), is shorter than the pool
+    level_seed = StudyConfig("subordinated-fgn", (50,), 1, master).resolved_level_seed()
+    assert level_seed == oracles.seed_hash(master, 2)
+
+
+@pytest.mark.parametrize("seeds", [[0], [2**64 - 1], [0, 2**64 - 1, 5, 6, 2**63, 123456789, 5]])
+@pytest.mark.parametrize("size", [1, 998])
+def test_batched_draws_match_one_generator_per_seed(seeds, size):
+    normals = ndtri(uniform_draws(seeds, size))
+    assert normals.shape == (len(seeds), size)
+    for row, seed in zip(normals, seeds):
+        assert np.array_equal(row, ndtri(uniform_draws([seed], size)[0]))
+        assert np.array_equal(row, ndtri(oracles.philox_uniforms(seed, size)))
+    single = simulate_fgn_paths(FgnParams(hurst=0.3, n=1, sigma2=2.5), seeds)[:, 0]
+    assert np.array_equal(single, np.sqrt(2.5) * normals[:, 0])
+
+
+def test_length_kernels_are_built_once_per_length_and_freed(monkeypatch):
+    built = []
+    build = study._LengthKernel.build
+
+    def counting_build(n, var_grid, gph_grid):
+        # the last length's kernel is gone before the next one is built
+        assert all(ref() is None for _, ref in built)
+        kernel = build(n, var_grid, gph_grid)
+        built.append((n, weakref.ref(kernel)))
+        return kernel
+
+    monkeypatch.setattr(study._LengthKernel, "build", staticmethod(counting_build))
+    monkeypatch.setattr(study, "_CHUNK", 400)  # several cells per (length, Hurst value)
+    cfg = StudyConfig("fgn", (50, 90, 60), 5, 3, hurst_grid=(0.3, 0.6, 0.8))
+    run_study(cfg)
+    assert [n for n, _ in built] == [50, 90, 60]
+    assert all(ref() is None for _, ref in built)
+
+
+def test_pickled_cell_runner_carries_no_kernel():
+    cfg = StudyConfig("fgn", (50,), 2, 3)
+    runner = study._CellRunner(cfg, None, {50: cfg.grids_for(50)})
+    counts = runner((50, 0, 0, 2))
+    assert runner._kernel is not None
+    copy = pickle.loads(pickle.dumps(runner))
+    assert copy._kernel is None
+    assert all(np.array_equal(a, b) for a, b in zip(copy((50, 0, 0, 2)), counts))
