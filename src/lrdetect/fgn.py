@@ -103,13 +103,15 @@ def uniform_draws(seeds, size: int, name: str = "seed") -> np.ndarray:
         if not 0 <= seed < 1 << 64:
             raise ValueError(f"{name} must lie in [0, 2**64), got {seed}")
     bits = np.random.Philox(key=0)
-    draw = np.random.Generator(bits).integers
     state = bits.state  # zero counter, empty buffer: a fresh generator's state
     out = np.empty((len(seeds), size))
     for row, seed in zip(out, seeds):
         state["state"]["key"] = np.array([seed, 0], dtype=np.uint64)
         bits.state = state
-        np.add(draw(0, 1 << 53, size=size), 0.5, out=row)
+        # Generator.integers(0, 2**53) draws x >> 11 from each raw word x:
+        # Lemire's bounded draw never rejects a power-of-two range
+        np.right_shift(bits.random_raw(size), 11, out=row, casting="unsafe")
+    out += 0.5
     out *= 2.0**-53
     return out
 
@@ -124,8 +126,13 @@ def _embedding_amplitudes(params: FgnParams) -> np.ndarray:
     """
     n = params.n
     gamma = _autocovariance_vector(params, np.arange(n))
-    first_row = np.concatenate([gamma, gamma[n - 2 : 0 : -1]])
-    eigenvalues = np.fft.fft(first_row).real
+    # One buffer holds the circulant's first row, then its transform; it is
+    # allocated after gamma, whose temporaries are freed by then.
+    row = np.zeros(n + max(n - 2, 0), dtype=np.complex128)
+    row.real[:n] = gamma
+    row.real[n:] = gamma[n - 2 : 0 : -1]
+    del gamma
+    eigenvalues = np.fft.fft(row, out=row).real
     if eigenvalues.min() < -_EIGENVALUE_TOL * eigenvalues.max():
         raise EmbeddingFailure(
             f"circulant eigenvalue {eigenvalues.min():.3e} below tolerance "
@@ -157,9 +164,10 @@ def simulate_fgn_paths(params: FgnParams, seeds) -> np.ndarray:
     w[:, 0] = draws[:, 0]
     w[:, n - 1] = draws[:, 1]
     w[:, 1 : n - 1] = (draws[:, 2::2] + 1j * draws[:, 3::2]) / math.sqrt(2.0)
-    del draws  # freed before the FFT allocates two more arrays of its size
+    del draws  # freed before the FFT allocates its scratch space
     np.conjugate(w[:, n - 2 : 0 : -1], out=w[:, n:])
-    return np.fft.fft(amplitudes * w, axis=1).real[:, :n] / math.sqrt(m)
+    w *= amplitudes
+    return np.fft.fft(w, axis=1, out=w).real[:, :n] / math.sqrt(m)
 
 
 def simulate_fgn(params: FgnParams, seed: int) -> TimeSeries:

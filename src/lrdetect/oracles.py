@@ -13,6 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import WindowExceedsSeries
+from .fgn import FgnParams, _autocovariance_vector
 from .gph import Periodogram
 from .series import TimeSeries
 from .varplot import BlockVarianceCurve
@@ -70,6 +71,15 @@ def excursion_counts(x, levels) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     thresholds = np.sort(x)[np.ceil(np.asarray(levels) * x.size).astype(np.int64) - 1]
     return np.count_nonzero(x[:, None] > thresholds[None, :], axis=1)
+
+
+def embedding_amplitudes(params: FgnParams) -> np.ndarray:
+    """Square roots of the clipped covariance-circulant eigenvalues: the FFT of
+    the first row (gamma(0), ..., gamma(n-1), gamma(n-2), ..., gamma(1))."""
+    n = params.n
+    gamma = _autocovariance_vector(params, np.arange(n))
+    first_row = np.concatenate([gamma, gamma[n - 2 : 0 : -1]])
+    return np.sqrt(np.clip(np.fft.fft(first_row).real, 0.0, None))
 
 
 def csv_reader_series(path) -> TimeSeries:

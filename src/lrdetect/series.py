@@ -10,6 +10,12 @@ import numpy as np
 
 from .errors import DegenerateDesign
 
+# Rows per write of the series CSV writer.  The reader converts slices of
+# _CSV_SLICE characters, cut at the next line end: about _CSV_CHUNK lines of
+# repr-printed doubles, which take 16 to 24 characters each.
+_CSV_CHUNK = 1 << 16
+_CSV_SLICE = 20 * _CSV_CHUNK
+
 
 def _as_finite_array(values) -> np.ndarray:
     arr = np.array(values, dtype=np.float64)
@@ -77,8 +83,9 @@ def read_series_csv(path) -> TimeSeries:
     """Read a single-column UTF-8 CSV: an optional ``value`` header (any case,
     padded), then one unquoted float per line in time order; empty lines are skipped.
 
-    The file converts in one call; only when that fails is it scanned for the
-    offending line, which the error names together with the file.
+    The text converts in slices of about ``_CSV_CHUNK`` lines; only when one
+    fails is the whole file scanned for the offending line, which the error
+    names together with the file.
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8", errors="surrogateescape")
@@ -86,15 +93,23 @@ def read_series_csv(path) -> TimeSeries:
         raise ValueError(f"{path}: empty file")
     # Universal newlines leave "\n" the one line end, as csv.reader has it;
     # str.splitlines would also split a line at a form feed.
-    lines = text.split("\n")
-    start = 1 if lines[0].strip().lower() == "value" else 0
+    first = text.find("\n") + 1 or len(text)
+    header = 1 if text[:first].strip().lower() == "value" else 0
+    start = first if header else 0
+    parts = []
     try:
-        values = np.array(list(filter(None, lines[start:])), dtype=np.float64)
+        while start < len(text):
+            stop = text.find("\n", start + _CSV_SLICE) + 1 or len(text)
+            parts.append(np.array(list(filter(None, text[start:stop].split("\n"))), dtype=np.float64))
+            start = stop
     except ValueError:
-        values = None
-    if values is not None and values.size and np.isfinite(values).all():
-        return TimeSeries(values)
-    for number, line in enumerate(lines[start:], start + 1):
+        parts = None
+    if parts:
+        values = np.concatenate(parts)
+        del parts  # freed before TimeSeries copies the values
+        if values.size and np.isfinite(values).all():
+            return TimeSeries(values)
+    for number, line in enumerate(text.split("\n")[header:], header + 1):
         try:
             line.encode("utf-8")
         except UnicodeEncodeError:  # a lone surrogate: a byte that was not UTF-8
@@ -112,8 +127,11 @@ def read_series_csv(path) -> TimeSeries:
 
 def write_series_csv(x: TimeSeries, path) -> Path:
     """Write the series as a single ``value`` column, CRLF-terminated rows of
-    ``repr(v)``: the bytes ``csv.writer`` writes, in one call."""
+    ``repr(v)``: the bytes ``csv.writer`` writes, ``_CSV_CHUNK`` rows per write."""
     path = Path(path)
+    values = x.values
     with path.open("w", newline="") as fh:
-        fh.write("value\r\n" + "\r\n".join(map(repr, x.values.tolist())) + "\r\n")
+        fh.write("value\r\n")
+        for start in range(0, values.size, _CSV_CHUNK):
+            fh.write("\r\n".join(map(repr, values[start : start + _CSV_CHUNK].tolist())) + "\r\n")
     return path

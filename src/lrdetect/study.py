@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import json
 import math
 import numbers
@@ -56,10 +57,13 @@ CSV_COLUMNS = (
     "sensitivity",
     "specificity",
 )
-# CSV_COLUMNS read off a MetricsReport: the columns written as they are, then
-# the derived metrics, written to six decimals.
-_CSV_PLAIN = operator.attrgetter(*CSV_COLUMNS[:8])
-_CSV_METRICS = operator.attrgetter(*CSV_COLUMNS[8:])
+# CSV_COLUMNS read off a MetricsReport, and the row they fill: the columns
+# written as they are, then the derived metrics to six decimals ("nan" when
+# undefined), as csv.writer wrote them.
+_CSV_FIELDS = operator.attrgetter(*CSV_COLUMNS)
+_CSV_ROW = "%s,%d,%d,%d,%d,%d,%d,%d,%.6f,%.6f,%.6f\r\n"
+# One window of a manifest grid as json.dumps(..., indent=2) prints it.
+_MANIFEST_PAIR = "      [\n        %d,\n        %d\n      ]"
 
 
 def ground_truth_label(scenario: str, hurst: float) -> str:
@@ -405,9 +409,10 @@ class WindowGrid:
         return out
 
     def slope_blocks(self, ys):
-        """Yield (window slice, slopes of every row there), one bounded block at a time.
+        """Yield (window slice, slopes of every row there, flags), one bounded block at a time.
 
-        A window's slope is NaN in rows with a non-finite value inside it.
+        A window's slope is NaN in rows with a non-finite value inside it, and
+        exactly there its flag is set; flags is None when every value is finite.
         """
         values = np.asarray(ys, dtype=np.float64)[:, self._span]
         bad = ~np.isfinite(values)
@@ -431,15 +436,17 @@ class WindowGrid:
                 if inside is not None:
                     slopes += moments[:, segs] @ inside[:, part].astype(np.float64)
                 slopes /= self._sxx[window]
+                flags = None
                 if flagged is not None:
-                    slopes[flagged[:, window]] = np.nan
-                yield window, slopes
+                    flags = flagged[:, window]
+                    slopes[flags] = np.nan
+                yield window, slopes, flags
 
     def slopes(self, ys) -> np.ndarray:
         """Slopes of every row (axis 0 of ``ys``) over every window, shape (rows, windows)."""
         ys = np.asarray(ys, dtype=np.float64)
         out = np.empty((ys.shape[0], self.size))
-        for cols, slopes in self.slope_blocks(ys):
+        for cols, slopes, _ in self.slope_blocks(ys):
             out[:, cols] = slopes
         return out
 
@@ -479,11 +486,12 @@ class _LengthKernel:
 
 def _tally(grid: WindowGrid, logs: np.ndarray, threshold: float) -> np.ndarray:
     """Per window, how many rows are labelled [non-LRD, LRD, skip]; LRD iff slope > threshold."""
-    counts = np.empty((grid.size, 3), dtype=np.int64)
-    for cols, slopes in grid.slope_blocks(logs):
-        lrd = np.count_nonzero(slopes > threshold, axis=0)
-        skips = np.count_nonzero(np.isnan(slopes), axis=0)
-        counts[cols] = np.column_stack([logs.shape[0] - lrd - skips, lrd, skips])
+    counts = np.zeros((grid.size, 3), dtype=np.int64)
+    for cols, slopes, flags in grid.slope_blocks(logs):
+        counts[cols, 1] = np.count_nonzero(slopes > threshold, axis=0)
+        if flags is not None:
+            counts[cols, 2] = np.count_nonzero(flags, axis=0)
+    counts[:, 0] = logs.shape[0] - counts[:, 1] - counts[:, 2]
     return counts
 
 
@@ -628,19 +636,31 @@ def write_study_outputs(cfg: StudyConfig, reports: list[MetricsReport], out_dir)
             key=lambda r: (r.estimator, r.n1, r.n2),
         )
         path = out_dir / f"results_{cfg.scenario}_n{n}.csv"
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for r in rows:
-                metrics = ["nan" if math.isnan(v) else f"{v:.6f}" for v in _CSV_METRICS(r)]
-                writer.writerow([*_CSV_PLAIN(r), *metrics])
+        text = ",".join(CSV_COLUMNS) + "\r\n" + "".join([_CSV_ROW % _CSV_FIELDS(r) for r in rows])
+        path.write_text(text, newline="")
         written.append(path)
     manifest = out_dir / f"manifest_{cfg.scenario}.json"
-    with manifest.open("w") as fh:
-        json.dump(cfg.manifest_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    manifest.write_text(_manifest_text(cfg) + "\n")
     written.append(manifest)
     return written
+
+
+def _manifest_text(cfg: StudyConfig) -> str:
+    """``json.dumps(cfg.manifest_dict(), sort_keys=True, indent=2)``, with every
+    nonempty window grid printed from a per-pair template, not by the encoder."""
+    manifest = cfg.manifest_dict()
+    grids = {}
+    for key in ("variance_cutoffs", "gph_cutoffs"):
+        for n, grid in manifest[key].items():
+            if grid:
+                token = f"\0{key} {n}"  # no scenario name holds a NUL
+                grids[json.dumps(token)] = grid
+                manifest[key][n] = token
+    text = json.dumps(manifest, sort_keys=True, indent=2)
+    for token, grid in grids.items():
+        body = ",\n".join([_MANIFEST_PAIR] * len(grid)) % tuple(itertools.chain.from_iterable(grid))
+        text = text.replace(token, f"[\n{body}\n    ]")
+    return text
 
 
 def read_report_csv(path) -> list[MetricsReport]:

@@ -14,7 +14,7 @@ from lrdetect import (
     subordinate,
 )
 from lrdetect.fgn import _embedding_amplitudes
-from lrdetect.oracles import exact_mean_variance
+from lrdetect.oracles import embedding_amplitudes, exact_mean_variance
 
 
 def test_autocovariance_white_noise():
@@ -76,6 +76,15 @@ def test_simulation_length_one():
 def test_embedding_eigenvalues_nonnegative(hurst):
     amplitudes = _embedding_amplitudes(FgnParams(hurst=float(hurst), n=700))
     assert np.all(amplitudes >= 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 1000, 2**16 + 3])
+@pytest.mark.parametrize("hurst", [0.1, 0.5, 0.85])
+def test_embedding_amplitudes_match_the_out_of_place_transform(n, hurst):
+    params = FgnParams(hurst=hurst, n=n)
+    got = _embedding_amplitudes(params)
+    assert got.size == 2 * (n - 1)
+    assert got.tobytes() == embedding_amplitudes(params).tobytes()
 
 
 def test_white_noise_lag_one_autocovariance():

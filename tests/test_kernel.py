@@ -74,6 +74,11 @@ def test_window_slopes_flag_nonfinite_rows():
     assert np.all(np.isfinite(slopes[0]))
     assert np.isfinite(slopes[1, 0]) and np.isnan(slopes[1, 1]) and np.isfinite(slopes[1, 2])
     assert slopes[1, 0] == slopes[0, 0]
+    # the tally counts skips from the flags: set exactly where a slope is NaN
+    grid = WindowGrid(xs, [(0, 4), (2, 8), (7, 9)])
+    for cols, block, flags in grid.slope_blocks(ys):
+        assert np.array_equal(flags, np.isnan(block))
+    assert all(flags is None for _, _, flags in grid.slope_blocks(ys[:1]))
 
 
 def test_batched_rows_match_per_series_functions():

@@ -1,0 +1,46 @@
+"""Peak memory of the long-series path, in units of one float64 array of the series.
+
+numpy reports its buffers to tracemalloc, so a peak measured there counts
+every array a call holds at once.
+"""
+
+import tracemalloc
+
+import numpy as np
+
+from lrdetect import FgnParams, TimeSeries, read_series_csv, write_series_csv
+from lrdetect.fgn import _embedding_amplitudes, simulate_fgn_paths
+
+N = 1 << 18
+
+
+def _peak_arrays(call, *args) -> float:
+    """Peak bytes ``call(*args)`` allocates beyond what was live before it, over 8N."""
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        call(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - live) / (8 * N)
+
+
+def test_embedding_holds_few_arrays():
+    assert _peak_arrays(_embedding_amplitudes.__wrapped__, FgnParams(hurst=0.8, n=N)) <= 9
+
+
+def test_simulation_holds_few_arrays():
+    params = FgnParams(hurst=0.8, n=N)
+    _embedding_amplitudes(params)  # cached, as after a process's first path
+    assert _peak_arrays(simulate_fgn_paths, params, [3]) <= 9
+
+
+def test_series_csv_writer_holds_few_arrays(tmp_path):
+    series = TimeSeries(np.random.default_rng(1).standard_normal(N))
+    assert _peak_arrays(write_series_csv, series, tmp_path / "series.csv") <= 4
+
+
+def test_series_csv_reader_holds_few_arrays(tmp_path):
+    path = write_series_csv(TimeSeries(np.random.default_rng(2).standard_normal(N)), tmp_path / "series.csv")
+    assert _peak_arrays(read_series_csv, path) <= 8

@@ -11,6 +11,7 @@ from lrdetect import (
     write_series_csv,
 )
 from lrdetect.oracles import csv_reader_series
+from lrdetect.series import _CSV_CHUNK, _CSV_SLICE
 
 
 def test_ols_exact_line():
@@ -190,3 +191,46 @@ def test_series_csv_round_trips_adversarial_floats(tmp_path):
     values = np.concatenate([values, np.random.default_rng(12).standard_normal(64) * 10.0 ** np.arange(-32, 32)])
     path = write_series_csv(TimeSeries(values), tmp_path / "adversarial.csv")
     assert read_series_csv(path).values.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("n", [_CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1, 2 * _CSV_CHUNK + 3])
+def test_series_csv_round_trips_across_chunks(tmp_path, n):
+    values = np.random.default_rng(n).standard_normal(n)
+    path = write_series_csv(TimeSeries(values), tmp_path / "long.csv")
+    assert path.read_bytes() == ("value\r\n" + "\r\n".join(map(repr, values.tolist())) + "\r\n").encode()
+    assert read_series_csv(path).values.tobytes() == values.tobytes()
+
+
+def test_series_csv_reader_slices_match_csv_reader_oracle(tmp_path):
+    # short, blank and padded lines over several slices, headerless
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal(5 * _CSV_CHUNK)
+    values[::3] = np.round(values[::3], 2)
+    lines = [f" {v!r}" if i % 7 == 0 else repr(v) for i, v in enumerate(values.tolist())]
+    for i in range(0, len(lines), 5003):
+        lines[i : i + 1] = ["", lines[i], ""]
+    path = tmp_path / "sliced.csv"
+    path.write_text("\n".join(lines))
+    assert len(path.read_text()) > 3 * _CSV_SLICE
+    got = read_series_csv(path).values
+    assert got.tobytes() == csv_reader_series(path).values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("abc", "expected a finite float, got 'abc'"),
+        ("nan", "expected a finite float, got 'nan'"),
+        ("1.0,2.0", "expected a single column, got 2"),
+    ],
+)
+def test_series_csv_reader_names_a_line_after_the_first_slice(tmp_path, bad, message):
+    lines = ["value", *map(repr, np.random.default_rng(4).standard_normal(3 * _CSV_CHUNK).tolist())]
+    blank, wrong = 2 * _CSV_CHUNK, 2 * _CSV_CHUNK + 7  # positions in lines; line numbers count from 1
+    lines[blank], lines[wrong] = "", bad
+    assert len("\n".join(lines[:blank])) > _CSV_SLICE
+    path = tmp_path / "series.csv"
+    path.write_text("\r\n".join(lines) + "\r\n", newline="")
+    with pytest.raises(ValueError) as excinfo:
+        read_series_csv(path)
+    assert str(excinfo.value) == f"{path}: line {wrong + 1}: {message}"

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from lrdetect import (
 )
 from lrdetect.excursion import MAX_PSI
 from lrdetect.gph import full_ordinates, gph_regressors
-from lrdetect.study import MAX_WORKERS, WindowGrid, pool_size
+from lrdetect.study import MAX_WORKERS, WindowGrid, _manifest_text, pool_size
 from lrdetect.varplot import block_mean_variances
 
 
@@ -299,6 +300,20 @@ def test_csv_round_trip(tmp_path):
             r.skips,
         )
         assert other.series_length == 80
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(scenario="subordinated-fgn", lengths=(4, 50, 100, 500), variance_cutoffs=None, gph_cutoffs=None),
+        dict(lengths=(80, 200)),
+        dict(variance_cutoffs=((2, 9),), gph_cutoffs=((3, 40),)),
+    ],
+    ids=["default grids", "explicit grids", "one-window grids"],
+)
+def test_manifest_text_is_the_json_encoders(overrides):
+    cfg = small_cfg(**overrides)
+    assert _manifest_text(cfg) == json.dumps(cfg.manifest_dict(), sort_keys=True, indent=2)
 
 
 def test_read_report_csv_needs_length_in_name(tmp_path):
