@@ -76,18 +76,19 @@ def _estimate_config(args) -> VariancePlotConfig | GphConfig:
 def _cmd_estimate(args) -> int:
     config = _estimate_config(args)
     series = read_series_csv(args.input)
+    # the window printed, and checked against the series before any transform
+    low, high = config.resolve(series.n)
     if args.quantile_transform is not None:
         levels = draw_levels(args.quantile_transform, args.level_seed)
         series = transform_series(series, resolve_quantiles(series, levels))
     if isinstance(config, VariancePlotConfig):
-        n1, n2 = config.resolve(series.n)
-        fit = variance_plot_slope(series, VariancePlotConfig(n1=n1, n2=n2))
-        print(f"estimator variance window {n1} {n2}")
+        fit = variance_plot_slope(series, VariancePlotConfig(n1=low, n2=high))
+        print(f"estimator variance window {low} {high}")
         print(f"slope {fit.slope:.6f}")
         print(f"label {classify_lrd_variance(fit)}")
     else:
         fit = gph_estimate(series, config)
-        print(f"estimator gph window {config.trim} {config.bandwidth}")
+        print(f"estimator gph window {low} {high}")
         print(f"d {fit.slope:.6f}")
         print(f"label {classify_lrd_gph(fit)}")
     return 0

@@ -35,6 +35,13 @@ class GphConfig:
                 f"bandwidth must exceed trim, got ({self.trim}, {self.bandwidth})"
             )
 
+    def resolve(self, n: int) -> tuple[int, int]:
+        """Concrete (trim, bandwidth) for a series of length n; bandwidth <= n - 1,
+        the highest Fourier index below n."""
+        if self.bandwidth > n - 1:
+            raise WindowExceedsSeries(f"bandwidth {self.bandwidth} exceeds n - 1 = {n - 1}")
+        return self.trim, self.bandwidth
+
 
 @dataclass(frozen=True)
 class Periodogram:
@@ -107,11 +114,8 @@ def gph_from_ordinates(ordinates: np.ndarray, n: int, cfg: GphConfig) -> Regress
     Regresses log I(lambda_j) on -2*log(lambda_j) for j = trim..bandwidth;
     the slope estimates the memory parameter d.
     """
-    if cfg.bandwidth > n - 1:
-        raise WindowExceedsSeries(
-            f"bandwidth {cfg.bandwidth} exceeds n - 1 = {n - 1}"
-        )
-    indices = np.arange(cfg.trim, cfg.bandwidth + 1)
+    trim, bandwidth = cfg.resolve(n)
+    indices = np.arange(trim, bandwidth + 1)
     used = np.asarray(ordinates)[indices]
     if np.any(used == 0.0):
         zero_at = indices[used == 0.0]

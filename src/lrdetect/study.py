@@ -24,11 +24,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, WindowExceedsSeries
 from .excursion import MAX_PSI, QuantileMeasure, draw_levels, excursion_rows
 from .fgn import FgnParams, simulate_fgn_paths
-from .gph import GPH_LRD_THRESHOLD, gph_regressors, ordinate_rows
-from .varplot import VARIANCE_LRD_THRESHOLD, block_variance_rows
+from .gph import GPH_LRD_THRESHOLD, GphConfig, gph_regressors, ordinate_rows
+from .varplot import VARIANCE_LRD_THRESHOLD, VariancePlotConfig, block_variance_rows
 
 SCENARIOS = ("fgn", "subordinated-fgn")
 
@@ -207,6 +207,14 @@ def _pair(name: str, value) -> tuple[int, int]:
     return pair
 
 
+def _no_repeats(name: str, values: tuple) -> None:
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ConfigError(f"{name} repeats {value}")
+        seen.add(value)
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Complete description of one study run; a fixed config fixes the output."""
@@ -244,6 +252,8 @@ class StudyConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if not self.lengths or any(n < 4 for n in self.lengths):
             raise ConfigError("lengths must be a nonempty list of integers >= 4")
+        # a repeated length or window would count its series or write its row twice
+        _no_repeats("lengths", self.lengths)
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
         if self.master_seed < 0:
@@ -259,21 +269,21 @@ class StudyConfig:
         grid = self.hurst_grid if self.hurst_grid is not None else default_hurst_grid(self.scenario)
         if not grid or any(not 0.0 < h < 1.0 for h in grid):
             raise ConfigError("hurst_grid must be nonempty with values strictly in (0, 1)")
-        for name in ("variance_cutoffs", "gph_cutoffs"):
+        # each window is checked by its estimator's own rule, at every length
+        for name, window in (("variance_cutoffs", VariancePlotConfig), ("gph_cutoffs", GphConfig)):
             pairs = getattr(self, name)
-            if pairs is not None and len(pairs) == 0:
+            if pairs is None:
+                continue
+            if len(pairs) == 0:
                 raise ConfigError(f"{name} must be nonempty when given")
-        for n in self.lengths:
-            if self.variance_cutoffs is not None:
-                for a, b in self.variance_cutoffs:
-                    if not 1 <= a < b <= n:
-                        raise ConfigError(
-                            f"variance cutoff ({a}, {b}) invalid for length {n}"
-                        )
-            if self.gph_cutoffs is not None:
-                for a, b in self.gph_cutoffs:
-                    if not 1 <= a < b <= n - 1:
-                        raise ConfigError(f"gph cutoff ({a}, {b}) invalid for length {n}")
+            _no_repeats(name, pairs)
+            for pair in pairs:
+                try:
+                    config = window(*pair)
+                    for n in self.lengths:
+                        config.resolve(n)
+                except (ValueError, WindowExceedsSeries) as exc:
+                    raise ConfigError(f"{name} pair {pair} invalid: {exc}") from None
 
     def resolved_level_seed(self) -> int:
         if self.level_seed is not None:
@@ -442,46 +452,10 @@ class WindowGrid:
                     slopes[flags] = np.nan
                 yield window, slopes, flags
 
-    def slopes(self, ys) -> np.ndarray:
-        """Slopes of every row (axis 0 of ``ys``) over every window, shape (rows, windows)."""
-        ys = np.asarray(ys, dtype=np.float64)
-        out = np.empty((ys.shape[0], self.size))
-        for cols, slopes, _ in self.slope_blocks(ys):
-            out[:, cols] = slopes
-        return out
-
 
 def pool_size(workers: int, cells: int) -> int:
     """Processes for a study pool: no more than asked for, than CPUs, or than cells."""
     return max(1, min(workers, os.cpu_count() or 1, cells))
-
-
-@dataclass(frozen=True)
-class _LengthKernel:
-    """Both cutoff grids of one series length as window regressions.
-
-    The variance windows regress log S_l^2 on log l over block lengths
-    lmin..lmax; the GPH windows regress log I(lambda_j) on -2 log lambda_j
-    over frequency indices 1..n-1.
-    """
-
-    n: int
-    lmin: int
-    lmax: int
-    variance: WindowGrid
-    gph: WindowGrid
-
-    @classmethod
-    def build(cls, n: int, var_grid: np.ndarray, gph_grid: np.ndarray) -> "_LengthKernel":
-        lmin, lmax = int(var_grid[:, 0].min()), int(var_grid[:, 1].max())
-        lengths = np.arange(lmin, lmax + 1, dtype=np.float64)
-        return cls(
-            n,
-            lmin,
-            lmax,
-            WindowGrid(np.log(lengths), var_grid - lmin),
-            WindowGrid(gph_regressors(np.arange(1, n), n), gph_grid - 1),
-        )
 
 
 def _tally(grid: WindowGrid, logs: np.ndarray, threshold: float) -> np.ndarray:
@@ -495,55 +469,56 @@ def _tally(grid: WindowGrid, logs: np.ndarray, threshold: float) -> np.ndarray:
     return counts
 
 
-def _cell_counts(
-    cfg: StudyConfig,
-    levels: QuantileMeasure | None,
-    kernel: _LengthKernel,
-    cell: tuple[int, int, int, int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Label counts of both estimators over one cell: replications first..stop-1
-    of one Hurst value at length n, simulated and classified as one batch."""
-    n, h_index, first, stop = cell
-    seeds = _seed_hash(cfg.master_seed, _SCENARIO_CODE[cfg.scenario], h_index, np.arange(first, stop))
-    rows = simulate_fgn_paths(FgnParams(hurst=cfg.resolved_hurst_grid()[h_index], n=n), seeds)
-    if levels is not None:
-        # exp(y^2 / (2 alpha)) rises strictly with y^2 and the transform is invariant
-        # under strictly increasing maps, so y^2 gives every alpha's labels without overflow
-        rows = excursion_rows(rows * rows, levels)
-    # zero block variances and ordinates become -inf: their windows are skips
-    with np.errstate(divide="ignore"):
-        var_logs = np.log(block_variance_rows(rows, kernel.lmin, kernel.lmax))
-        gph_logs = np.log(ordinate_rows(rows)[:, 1:])
-    return (
-        _tally(kernel.variance, var_logs, VARIANCE_LRD_THRESHOLD),
-        _tally(kernel.gph, gph_logs, GPH_LRD_THRESHOLD),
-    )
-
-
 class _CellRunner:
-    """Evaluates the cells of one study run, holding one length's kernel at a time.
+    """Label counts of both estimators over one cell: replications first..stop-1
+    of one Hurst value at length n, simulated and classified as one batch.
 
-    Cells arrive grouped by length, so a length's kernel is built when its
-    first cell runs and dropped when the next length starts.  A pickled
-    runner, as pool workers receive it, carries no kernel: each worker
-    builds the kernels of the cells it receives.
+    A length's variance windows regress log S_l^2 on log l over block lengths
+    lmin..lmax, and its GPH windows regress log I(lambda_j) on -2 log lambda_j
+    over frequency indices 1..n-1.  Cells arrive grouped by length, so a
+    length's two WindowGrids are built when its first cell runs and dropped
+    before the next length's are built.  A pickled runner, as pool workers
+    receive it, carries no grids: each worker builds those of the cells it
+    receives.
     """
 
     def __init__(self, cfg: StudyConfig, levels: QuantileMeasure | None, grids: dict):
         self.cfg = cfg
         self.levels = levels
         self.grids = grids
-        self._kernel = None
+        self._kernel = None  # (n, variance WindowGrid, GPH WindowGrid) of the running length
 
     def __getstate__(self):
         return {**self.__dict__, "_kernel": None}
 
     def __call__(self, cell: tuple[int, int, int, int]) -> tuple[np.ndarray, np.ndarray]:
-        n = cell[0]
-        if self._kernel is None or self._kernel.n != n:
+        n, h_index, first, stop = cell
+        var_grid, gph_grid = self.grids[n]
+        lmin, lmax = int(var_grid[:, 0].min()), int(var_grid[:, 1].max())
+        if self._kernel is None or self._kernel[0] != n:
             self._kernel = None  # free the last length's blocks before building the next
-            self._kernel = _LengthKernel.build(n, *self.grids[n])
-        return _cell_counts(self.cfg, self.levels, self._kernel, cell)
+            block_lengths = np.arange(lmin, lmax + 1, dtype=np.float64)
+            self._kernel = (
+                n,
+                WindowGrid(np.log(block_lengths), var_grid - lmin),
+                WindowGrid(gph_regressors(np.arange(1, n), n), gph_grid - 1),
+            )
+        _, variance, gph = self._kernel
+        cfg = self.cfg
+        seeds = _seed_hash(cfg.master_seed, _SCENARIO_CODE[cfg.scenario], h_index, np.arange(first, stop))
+        rows = simulate_fgn_paths(FgnParams(hurst=cfg.resolved_hurst_grid()[h_index], n=n), seeds)
+        if self.levels is not None:
+            # exp(y^2 / (2 alpha)) rises strictly with y^2 and the transform is invariant
+            # under strictly increasing maps, so y^2 gives every alpha's labels without overflow
+            rows = excursion_rows(rows * rows, self.levels)
+        # zero block variances and ordinates become -inf: their windows are skips
+        with np.errstate(divide="ignore"):
+            var_logs = np.log(block_variance_rows(rows, lmin, lmax))
+            gph_logs = np.log(ordinate_rows(rows)[:, 1:])
+        return (
+            _tally(variance, var_logs, VARIANCE_LRD_THRESHOLD),
+            _tally(gph, gph_logs, GPH_LRD_THRESHOLD),
+        )
 
 
 def run_study(cfg: StudyConfig) -> list[MetricsReport]:
@@ -667,6 +642,8 @@ def read_report_csv(path) -> list[MetricsReport]:
     """Read back a study metrics CSV; series length is parsed from the name.
 
     The name must end in ``_n<length>``, as ``write_study_outputs`` writes it.
+    A missing column, a row of the wrong width, or a count that is not a
+    non-negative integer is a ValueError naming the file and the line.
     """
     path = Path(path)
     _, marker, tail = path.stem.rpartition("_n")
@@ -675,7 +652,24 @@ def read_report_csv(path) -> list[MetricsReport]:
     length = int(tail)
     reports = []
     with path.open(newline="") as fh:
-        for row in csv.DictReader(fh):
-            counts = {k: int(row[k]) for k in CSV_COLUMNS[1:8]}
-            reports.append(MetricsReport(estimator=row["estimator"], series_length=length, **counts))
+        rows = csv.reader(fh)
+        header = next(rows, [])
+        missing = [name for name in CSV_COLUMNS[:8] if name not in header]
+        if missing:
+            raise ValueError(f"{path}: line 1: missing column(s) {', '.join(missing)}")
+        columns = [header.index(name) for name in CSV_COLUMNS[:8]]
+        for row in rows:
+            if not row:
+                continue  # a blank line
+            line = f"{path}: line {rows.line_num}"
+            if len(row) != len(header):
+                raise ValueError(f"{line}: {len(row)} fields, the header has {len(header)}")
+            estimator, *values = (row[i] for i in columns)
+            try:
+                n1, n2, *counts = (int(value) for value in values)
+            except ValueError:
+                raise ValueError(f"{line}: n1, n2 and the counts must be integers, got {values}") from None
+            if min(counts) < 0:
+                raise ValueError(f"{line}: counts must be non-negative, got {values[2:]}")
+            reports.append(MetricsReport(estimator, n1, n2, length, *counts))
     return reports

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import lrdetect.gph
 from lrdetect import cli, read_series_csv, replication_seed
 from lrdetect.cli import main
 
@@ -303,6 +304,8 @@ BAD_CONFIGS = [
     ({"variance_cutoffs": []}, "variance_cutoffs"),
     ({"gph_cutoffs": []}, "gph_cutoffs"),
     ({"gph_cutoffs": [[1, 2, 3]]}, "gph_cutoffs"),
+    ({"variance_cutoffs": [[1, 80]]}, "variance_cutoffs"),  # n2 past the default length 50
+    ({"lengths": [50], "gph_cutoffs": [[1, 50]]}, "gph_cutoffs"),  # bandwidth past n - 1
     ({"replications": 2.7}, "replications"),
     ({"workers": 1.9}, "workers"),
     ({"psi": "abc"}, "psi"),
@@ -325,6 +328,30 @@ def test_study_rejects_bad_config_values_before_compute(tmp_path, capsys, cfg, k
     assert code == 1
     assert err.startswith("error:") and key in err
     assert not wrote
+
+
+@pytest.mark.parametrize(
+    "cfg,flags,message",
+    [
+        ({"lengths": [50, 100, 50]}, [], "lengths repeats 50"),
+        ({}, ["--lengths", "50,050"], "lengths repeats 50"),
+        ({"variance_cutoffs": [[1, 4], [2, 9], [1, 4]]}, [], "variance_cutoffs repeats (1, 4)"),
+        ({"lengths": [50], "gph_cutoffs": [[3, 20], [3, 20]]}, [], "gph_cutoffs repeats (3, 20)"),
+    ],
+    ids=["lengths", "lengths-flag", "variance_cutoffs", "gph_cutoffs"],
+)
+def test_study_rejects_repeats_before_compute(tmp_path, capsys, cfg, flags, message):
+    # a repeat would tally its series twice, write a row twice or print a path twice
+    code, err, wrote = _study_with_config(tmp_path, capsys, cfg, *flags)
+    assert code == 1
+    assert err == f"error: {message}\n"
+    assert not wrote
+
+
+def test_study_allows_repeated_hurst_values(tmp_path, capsys):
+    # each Hurst index hashes its own seeds, so a repeated value adds distinct series
+    code, _, wrote = _study_with_config(tmp_path, capsys, {"lengths": [50], "hurst_grid": [0.3, 0.3]})
+    assert code == 0 and wrote
 
 
 @pytest.mark.parametrize(
@@ -386,6 +413,41 @@ def test_estimate_rejects_bad_quantile_transform(tmp_path, capsys, psi, seed, me
     assert main([*argv, "--quantile-transform", psi, "--level-seed", seed]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+
+
+def test_estimate_checks_gph_bandwidth_before_the_periodogram(tmp_path, capsys, monkeypatch):
+    def no_periodogram(values):
+        raise AssertionError("the periodogram was computed")
+
+    monkeypatch.setattr(lrdetect.gph, "ordinate_rows", no_periodogram)
+    series = tmp_path / "x.csv"
+    series.write_text("value\n" + "".join(f"{v}\n" for v in range(20)))
+    assert main(["estimate", str(series), "--estimator", "gph", "--trim", "1", "--bandwidth", "20"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bandwidth 20 exceeds n - 1 = 19\n"
+
+
+_REPORT_HEADER = "estimator,n1,n2,tp,fp,tn,fn,skips,accuracy,sensitivity,specificity\n"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (_REPORT_HEADER.replace("tp,", "") + "gph,1,5,1,2,3,0,0.5,0.5,0.5\n", "line 1: missing column(s) tp"),
+        (_REPORT_HEADER + "gph,1,5,1,2,3,4,0,0.4,0.2,0.6\ngph,1,6,1,2\n", "line 3: 5 fields, the header has 11"),
+        (_REPORT_HEADER + "gph,1,5,-1,0,0,0,0,1.0,1.0,nan\n", "line 2: counts must be non-negative"),
+        (_REPORT_HEADER + "gph,1,5,x,0,0,0,0,1.0,1.0,nan\n", "line 2: n1, n2 and the counts must be integers"),
+    ],
+    ids=["missing-column", "short-row", "negative-count", "not-an-integer"],
+)
+def test_rank_names_file_and_line_of_malformed_csv(tmp_path, capsys, text, message):
+    results = tmp_path / "results_fgn_n50.csv"
+    results.write_text(text)
+    assert main(["rank", str(results)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {results}: {message}")
 
 
 def test_rank_rejects_results_name_without_length(tmp_path, capsys):

@@ -141,6 +141,12 @@ def test_window_beyond_nyquist_uses_aliased_ordinates():
         gph_estimate(TimeSeries(v), GphConfig(trim=1, bandwidth=100))
 
 
+def test_resolve_keeps_bandwidth_below_n():
+    assert GphConfig(trim=2, bandwidth=99).resolve(100) == (2, 99)
+    with pytest.raises(WindowExceedsSeries, match="bandwidth 100 exceeds n - 1 = 99"):
+        GphConfig(trim=2, bandwidth=100).resolve(100)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         GphConfig(trim=0, bandwidth=10)

@@ -25,9 +25,18 @@ from lrdetect.study import WindowGrid
 from lrdetect.varplot import block_variance_rows
 
 
+def _slopes(grid, ys):
+    """Slopes of every row (axis 0 of ``ys``) over every window of ``grid``, shape (rows, windows)."""
+    ys = np.asarray(ys, dtype=np.float64)
+    out = np.empty((ys.shape[0], grid.size))
+    for cols, slopes, _ in grid.slope_blocks(ys):
+        out[:, cols] = slopes
+    return out
+
+
 def _max_relative_error(xs, ys, windows):
     """Largest |slope - ols_slope| / |ols_slope| over inclusive position windows."""
-    slopes = WindowGrid(xs, windows).slopes(ys[None, :])[0]
+    slopes = _slopes(WindowGrid(xs, windows), ys[None, :])[0]
     worst = 0.0
     for (a, b), slope in zip(windows.tolist(), slopes):
         ref = ols_slope(xs[a : b + 1], ys[a : b + 1]).slope
@@ -70,7 +79,7 @@ def test_window_slopes_flag_nonfinite_rows():
     xs = np.log(np.arange(1.0, 11.0))
     ys = np.vstack([np.linspace(0.0, 1.0, 10), np.linspace(0.0, 1.0, 10)])
     ys[1, 6] = -np.inf
-    slopes = WindowGrid(xs, [(0, 4), (2, 8), (7, 9)]).slopes(ys)
+    slopes = _slopes(WindowGrid(xs, [(0, 4), (2, 8), (7, 9)]), ys)
     assert np.all(np.isfinite(slopes[0]))
     assert np.isfinite(slopes[1, 0]) and np.isnan(slopes[1, 1]) and np.isfinite(slopes[1, 2])
     assert slopes[1, 0] == slopes[0, 0]
@@ -133,8 +142,8 @@ def test_zero_variance_windows_and_constant_series_count_as_skips():
         var_logs = np.log(block_variance_rows(constant, 1, 8))
         gph_logs = np.log(ordinate_rows(constant)[:, 1:])
     grid = WindowGrid(np.log(np.arange(1.0, 9.0)), [(0, 3), (1, 7)])
-    assert np.all(np.isnan(grid.slopes(var_logs)))
-    assert np.all(np.isnan(WindowGrid(gph_regressors(np.arange(1, 50), 50), [(0, 9)]).slopes(gph_logs)))
+    assert np.all(np.isnan(_slopes(grid, var_logs)))
+    assert np.all(np.isnan(_slopes(WindowGrid(gph_regressors(np.arange(1, 50), 50), [(0, 9)]), gph_logs)))
 
 
 @pytest.mark.parametrize("master", [0, 1, 2**32 - 1, 2**32 + 5, 2**64 + 1])
@@ -163,21 +172,22 @@ def test_batched_draws_match_one_generator_per_seed(seeds, size):
 
 
 def test_length_kernels_are_built_once_per_length_and_freed(monkeypatch):
-    built = []
-    build = study._LengthKernel.build
+    built = []  # (regressor count, weak reference), one per WindowGrid built
 
-    def counting_build(n, var_grid, gph_grid):
-        # the last length's kernel is gone before the next one is built
-        assert all(ref() is None for _, ref in built)
-        kernel = build(n, var_grid, gph_grid)
-        built.append((n, weakref.ref(kernel)))
-        return kernel
+    class CountingGrid(WindowGrid):
+        def __init__(self, xs, windows):
+            # a length builds its variance grid, then its GPH grid; every grid
+            # of the lengths before is gone by the time the next length starts
+            assert all(ref() is None for _, ref in built[: len(built) - len(built) % 2])
+            super().__init__(xs, windows)
+            built.append((len(xs), weakref.ref(self)))
 
-    monkeypatch.setattr(study._LengthKernel, "build", staticmethod(counting_build))
+    monkeypatch.setattr(study, "WindowGrid", CountingGrid)
     monkeypatch.setattr(study, "_CHUNK", 400)  # several cells per (length, Hurst value)
     cfg = StudyConfig("fgn", (50, 90, 60), 5, 3, hurst_grid=(0.3, 0.6, 0.8))
     run_study(cfg)
-    assert [n for n, _ in built] == [50, 90, 60]
+    # block lengths 1..min(60, n) for the variance grid, frequency indices 1..n-1 for GPH
+    assert [size for size, _ in built] == [50, 49, 60, 89, 60, 59]
     assert all(ref() is None for _, ref in built)
 
 

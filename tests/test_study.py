@@ -29,23 +29,29 @@ from lrdetect.study import MAX_WORKERS, WindowGrid, _manifest_text, pool_size
 from lrdetect.varplot import block_mean_variances
 
 
+def _labels(grid, logs, threshold):
+    """Study labels of one series per window of ``grid``: 1 = LRD, 0 = non-LRD, 2 = skip."""
+    labels = np.empty(grid.size, dtype=np.int64)
+    for cols, slopes, _ in grid.slope_blocks(logs[None, :]):
+        labels[cols] = np.where(np.isnan(slopes[0]), 2, np.where(slopes[0] > threshold, 1, 0))
+    return labels
+
+
 def _variance_labels(series, grid):
-    """Study labels per variance window through WindowGrid: 1 = LRD, 0 = non-LRD, 2 = skip."""
+    """Study labels per variance window through WindowGrid."""
     lmin, lmax = int(grid[:, 0].min()), int(grid[:, 1].max())
     curve = block_mean_variances(series, lmin, lmax)
     with np.errstate(divide="ignore"):
         logs = np.log(curve.s2)
-    slopes = WindowGrid(np.log(curve.lengths.astype(np.float64)), grid - lmin).slopes(logs[None, :])[0]
-    return np.where(np.isnan(slopes), 2, np.where(slopes > -1.0, 1, 0))
+    return _labels(WindowGrid(np.log(curve.lengths.astype(np.float64)), grid - lmin), logs, -1.0)
 
 
 def _gph_labels(series, grid, ordinates):
-    """Study labels per frequency window through WindowGrid: 1 = LRD, 0 = non-LRD, 2 = skip."""
+    """Study labels per frequency window through WindowGrid."""
     with np.errstate(divide="ignore"):
         logs = np.log(ordinates[1:])
     xs = gph_regressors(np.arange(1, series.n), series.n)
-    slopes = WindowGrid(xs, grid - 1).slopes(logs[None, :])[0]
-    return np.where(np.isnan(slopes), 2, np.where(slopes > 0.0, 1, 0))
+    return _labels(WindowGrid(xs, grid - 1), logs, 0.0)
 
 
 def small_cfg(**overrides):
