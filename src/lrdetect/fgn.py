@@ -50,17 +50,20 @@ class SubordinationParams:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
 
 
-def _even_binomial_tail(a: float, u2) -> np.ndarray | float:
+def _even_binomial_tail(a: float, u2: np.ndarray) -> np.ndarray:
     # (1+u)^a + (1-u)^a - 2 = 2 * sum_{j>=1} binom(a, 2j) u^(2j); twelve terms
-    # reach full double precision for u <= 1/16.
+    # reach full double precision for u <= 1/16.  The sum runs in place on
+    # three buffers, each step in the order of total = total + coeff * upow.
     coeff = 1.0
-    upow = 1.0
-    total = 0.0
+    upow = np.ones_like(u2)
+    total = np.zeros_like(u2)
+    term = np.empty_like(u2)
     for j in range(1, 13):
         coeff *= (a - (2 * j - 2)) / (2 * j - 1)
         coeff *= (a - (2 * j - 1)) / (2 * j)
-        upow = upow * u2
-        total = total + coeff * upow
+        upow *= u2
+        np.multiply(coeff, upow, out=term)
+        total += term
     return total
 
 
@@ -82,10 +85,17 @@ def _autocovariance_vector(params: FgnParams, lags) -> np.ndarray:
     lags = np.asarray(lags, dtype=np.float64)
     near = lags < _SERIES_LAG
     out = np.empty(lags.shape)
-    head, tail = lags[near], lags[~near]
+    head = lags[near]
     out[near] = 0.5 * params.sigma2 * ((head + 1.0) ** a + np.abs(head - 1.0) ** a - 2.0 * head**a)
-    out[~near] = params.sigma2 * tail**a * _even_binomial_tail(a, tail**-2)
     out[lags == 0] = params.sigma2
+    far = ~near
+    tail = lags[far]
+    del lags, near  # a float copy of integer lags is freed here
+    # sigma2 * tail**a * series(tail**-2), multiplied left to right
+    scaled = tail**a
+    scaled *= params.sigma2
+    scaled *= _even_binomial_tail(a, np.power(tail, -2, out=tail))
+    out[far] = scaled
     return out
 
 
@@ -118,27 +128,30 @@ def uniform_draws(seeds, size: int, name: str = "seed") -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _embedding_amplitudes(params: FgnParams) -> np.ndarray:
-    """Square roots of the covariance-circulant eigenvalues, cached per params.
+    """Square roots of the n distinct covariance-circulant eigenvalues, cached per params.
 
-    The circulant's first row is (gamma(0), ..., gamma(n-1), gamma(n-2), ...,
-    gamma(1)); its FFT is real and nonnegative in exact arithmetic for every
-    H in (0, 1).
+    The circulant's first row (gamma(0), ..., gamma(n-1), gamma(n-2), ...,
+    gamma(1)) is real and even, so its m = 2(n-1) eigenvalues are real, with
+    lambda_(m-k) = lambda_k: lambda_0..lambda_(n-1) are the DCT-I of
+    gamma(0..n-1), taken as numpy's real FFT of the row (``scipy.fft.dct``
+    left about 16 MB resident after the call at n = 10^6).  They are
+    nonnegative in exact arithmetic for every H in (0, 1).
     """
     n = params.n
     gamma = _autocovariance_vector(params, np.arange(n))
-    # One buffer holds the circulant's first row, then its transform; it is
-    # allocated after gamma, whose temporaries are freed by then.
-    row = np.zeros(n + max(n - 2, 0), dtype=np.complex128)
-    row.real[:n] = gamma
-    row.real[n:] = gamma[n - 2 : 0 : -1]
+    row = np.concatenate([gamma, gamma[n - 2 : 0 : -1]])
     del gamma
-    eigenvalues = np.fft.fft(row, out=row).real
+    spectrum = np.fft.rfft(row)
+    del row
+    eigenvalues = spectrum.real
     if eigenvalues.min() < -_EIGENVALUE_TOL * eigenvalues.max():
         raise EmbeddingFailure(
             f"circulant eigenvalue {eigenvalues.min():.3e} below tolerance "
             f"for H={params.hurst}, n={n}"
         )
-    amplitudes = np.sqrt(np.clip(eigenvalues, 0.0, None))
+    amplitudes = np.clip(eigenvalues, 0.0, None)  # contiguous, so the cache holds n values
+    del spectrum, eigenvalues
+    np.sqrt(amplitudes, out=amplitudes)
     amplitudes.setflags(write=False)
     return amplitudes
 
@@ -146,28 +159,34 @@ def _embedding_amplitudes(params: FgnParams) -> np.ndarray:
 def simulate_fgn_paths(params: FgnParams, seeds) -> np.ndarray:
     """Sample one fGN path per seed by circulant embedding; row i belongs to seeds[i].
 
-    The covariance circulant of size 2(n-1) is diagonalized by the FFT; its
-    eigenvalue spectrum scales independent complex Gaussians, so every row
-    carries exactly the target finite-dimensional law.  Each seed draws from
-    its own generator and one FFT along the rows transforms them all, so a
-    row does not depend on the other seeds.  The normals of all rows are drawn,
-    transformed and laid out as one batch.
+    The covariance circulant of size m = 2(n-1) is diagonalized by the DFT;
+    its eigenvalues scale independent complex Gaussians w_k, so every row
+    carries exactly the target finite-dimensional law.  The scaled draws are
+    Hermitian (w_0 and w_(n-1) real, w_(m-k) = conj(w_k)), so the path, the
+    real part of the DFT of w, is one inverse real FFT of conj(w_0..w_(n-1)).
+    Each seed draws from its own generator and one transform along the rows
+    serves them all, so a row does not depend on the other seeds.
     """
     n = params.n
-    draws = ndtri(uniform_draws(seeds, 1 if n == 1 else 2 * (n - 1)))
     if n == 1:
-        return math.sqrt(params.sigma2) * draws
+        return math.sqrt(params.sigma2) * ndtri(uniform_draws(seeds, 1))
 
-    amplitudes = _embedding_amplitudes(params)
-    m = amplitudes.size  # 2(n-1)
-    w = np.empty(draws.shape, dtype=np.complex128)
+    amplitudes = _embedding_amplitudes(params)  # first: its peak then holds no draws
+    m = 2 * (n - 1)
+    draws = ndtri(uniform_draws(seeds, m))
+    half = math.sqrt(0.5)
+    # conj(w) with w_k = (a + i b) / sqrt(2) for 0 < k < n-1, filled in place
+    w = np.empty((draws.shape[0], n), dtype=np.complex128)
     w[:, 0] = draws[:, 0]
     w[:, n - 1] = draws[:, 1]
-    w[:, 1 : n - 1] = (draws[:, 2::2] + 1j * draws[:, 3::2]) / math.sqrt(2.0)
-    del draws  # freed before the FFT allocates its scratch space
-    np.conjugate(w[:, n - 2 : 0 : -1], out=w[:, n:])
+    np.multiply(draws[:, 2::2], half, out=w.real[:, 1 : n - 1])
+    np.multiply(draws[:, 3::2], -half, out=w.imag[:, 1 : n - 1])
+    del draws  # freed before the transform allocates its output
     w *= amplitudes
-    return np.fft.fft(w, axis=1, out=w).real[:, :n] / math.sqrt(m)
+    # norm="forward" leaves the inverse unscaled: sum_k conj(w_k) e^(2 pi i jk/m), the real DFT of w
+    paths = np.fft.irfft(w, m, axis=1, norm="forward")
+    del w
+    return paths[:, :n] / math.sqrt(m)
 
 
 def simulate_fgn(params: FgnParams, seed: int) -> TimeSeries:

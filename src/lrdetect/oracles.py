@@ -11,9 +11,10 @@ import math
 from typing import Callable
 
 import numpy as np
+from scipy.special import ndtri
 
 from .errors import WindowExceedsSeries
-from .fgn import FgnParams, _autocovariance_vector
+from .fgn import FgnParams, uniform_draws
 from .gph import Periodogram
 from .series import TimeSeries
 from .varplot import BlockVarianceCurve
@@ -73,13 +74,52 @@ def excursion_counts(x, levels) -> np.ndarray:
     return np.count_nonzero(x[:, None] > thresholds[None, :], axis=1)
 
 
+def autocovariance_vector(params: FgnParams, lags) -> np.ndarray:
+    """The fGN autocovariance at each lag, with the out-of-place twelve-term
+    series (1+u)^a + (1-u)^a - 2 = 2 * sum_{j>=1} binom(a, 2j) u^(2j) in u = 1/k
+    at lags k >= 16; the fast path must match it byte for byte."""
+    a = 2.0 * params.hurst
+    lags = np.asarray(lags, dtype=np.float64)
+    near = lags < 16
+    out = np.empty(lags.shape)
+    head, tail = lags[near], lags[~near]
+    out[near] = 0.5 * params.sigma2 * ((head + 1.0) ** a + np.abs(head - 1.0) ** a - 2.0 * head**a)
+    u2 = tail**-2
+    coeff, upow, total = 1.0, 1.0, 0.0
+    for j in range(1, 13):
+        coeff *= (a - (2 * j - 2)) / (2 * j - 1)
+        coeff *= (a - (2 * j - 1)) / (2 * j)
+        upow = upow * u2
+        total = total + coeff * upow
+    out[~near] = params.sigma2 * tail**a * total
+    out[lags == 0] = params.sigma2
+    return out
+
+
 def embedding_amplitudes(params: FgnParams) -> np.ndarray:
-    """Square roots of the clipped covariance-circulant eigenvalues: the FFT of
-    the first row (gamma(0), ..., gamma(n-1), gamma(n-2), ..., gamma(1))."""
+    """Square roots of all 2(n-1) clipped covariance-circulant eigenvalues: the
+    complex FFT of the first row (gamma(0), ..., gamma(n-1), gamma(n-2), ..., gamma(1))."""
     n = params.n
-    gamma = _autocovariance_vector(params, np.arange(n))
+    gamma = autocovariance_vector(params, np.arange(n))
     first_row = np.concatenate([gamma, gamma[n - 2 : 0 : -1]])
     return np.sqrt(np.clip(np.fft.fft(first_row).real, 0.0, None))
+
+
+def fgn_paths(params: FgnParams, seeds) -> np.ndarray:
+    """Circulant-embedding fGN paths through full complex transforms: the
+    Hermitian vector w of scaled draws, mirrored to all 2(n-1) entries, and the
+    real part of its FFT, row i drawn from ``seeds[i]`` as the simulator draws it."""
+    n = params.n
+    draws = ndtri(uniform_draws(seeds, 1 if n == 1 else 2 * (n - 1)))
+    if n == 1:
+        return math.sqrt(params.sigma2) * draws
+    amplitudes = embedding_amplitudes(params)
+    w = np.empty(draws.shape, dtype=np.complex128)
+    w[:, 0] = draws[:, 0]
+    w[:, n - 1] = draws[:, 1]
+    w[:, 1 : n - 1] = (draws[:, 2::2] + 1j * draws[:, 3::2]) / math.sqrt(2.0)
+    w[:, n:] = np.conjugate(w[:, n - 2 : 0 : -1])
+    return np.fft.fft(w * amplitudes, axis=1).real[:, :n] / math.sqrt(amplitudes.size)
 
 
 def csv_reader_series(path) -> TimeSeries:

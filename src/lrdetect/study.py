@@ -31,6 +31,7 @@ from .gph import GPH_LRD_THRESHOLD, GphConfig, gph_regressors, ordinate_rows
 from .varplot import VARIANCE_LRD_THRESHOLD, VariancePlotConfig, block_variance_rows
 
 SCENARIOS = ("fgn", "subordinated-fgn")
+ESTIMATORS = ("variance", "gph")
 
 _SCENARIO_CODE = {"fgn": 0, "subordinated-fgn": 1}
 _LEVELS_STREAM = 2  # entropy tag separating the level panel from path seeds
@@ -562,7 +563,7 @@ def run_study(cfg: StudyConfig) -> list[MetricsReport]:
 
     reports: list[MetricsReport] = []
     for n in cfg.lengths:
-        for estimator, grid, tally in zip(("variance", "gph"), grids[n], counts[n]):
+        for estimator, grid, tally in zip(ESTIMATORS, grids[n], counts[n]):
             # one list per column: a list per window allocates enough containers
             # to set off a full garbage collection of the heap
             columns = (
@@ -642,7 +643,8 @@ def read_report_csv(path) -> list[MetricsReport]:
     """Read back a study metrics CSV; series length is parsed from the name.
 
     The name must end in ``_n<length>``, as ``write_study_outputs`` writes it.
-    A missing column, a row of the wrong width, or a count that is not a
+    A missing column, a row of the wrong width, an estimator the study does
+    not run, a window other than 1 <= n1 < n2, or a count that is not a
     non-negative integer is a ValueError naming the file and the line.
     """
     path = Path(path)
@@ -669,6 +671,10 @@ def read_report_csv(path) -> list[MetricsReport]:
                 n1, n2, *counts = (int(value) for value in values)
             except ValueError:
                 raise ValueError(f"{line}: n1, n2 and the counts must be integers, got {values}") from None
+            if estimator not in ESTIMATORS:
+                raise ValueError(f"{line}: estimator must be one of {', '.join(ESTIMATORS)}, got {estimator!r}")
+            if not 1 <= n1 < n2:
+                raise ValueError(f"{line}: need 1 <= n1 < n2, got ({n1}, {n2})")
             if min(counts) < 0:
                 raise ValueError(f"{line}: counts must be non-negative, got {values[2:]}")
             reports.append(MetricsReport(estimator, n1, n2, length, *counts))

@@ -438,8 +438,11 @@ _REPORT_HEADER = "estimator,n1,n2,tp,fp,tn,fn,skips,accuracy,sensitivity,specifi
         (_REPORT_HEADER + "gph,1,5,1,2,3,4,0,0.4,0.2,0.6\ngph,1,6,1,2\n", "line 3: 5 fields, the header has 11"),
         (_REPORT_HEADER + "gph,1,5,-1,0,0,0,0,1.0,1.0,nan\n", "line 2: counts must be non-negative"),
         (_REPORT_HEADER + "gph,1,5,x,0,0,0,0,1.0,1.0,nan\n", "line 2: n1, n2 and the counts must be integers"),
+        (_REPORT_HEADER + "gph,1,5,1,0,0,0,0,1.0,1.0,nan\nbogus,9,2,5,0,5,0,0,1,1,1\n", "line 3: estimator must be one of variance, gph, got 'bogus'"),
+        (_REPORT_HEADER + "variance,9,2,5,0,5,0,0,1,1,1\n", "line 2: need 1 <= n1 < n2, got (9, 2)"),
+        (_REPORT_HEADER + "gph,4,4,5,0,5,0,0,1,1,1\n", "line 2: need 1 <= n1 < n2, got (4, 4)"),
     ],
-    ids=["missing-column", "short-row", "negative-count", "not-an-integer"],
+    ids=["missing-column", "short-row", "negative-count", "not-an-integer", "unknown-estimator", "reversed-window", "empty-window"],
 )
 def test_rank_names_file_and_line_of_malformed_csv(tmp_path, capsys, text, message):
     results = tmp_path / "results_fgn_n50.csv"
