@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtri
+from numpy.random import Philox
 
 from .errors import EmbeddingFailure, OverflowValue
 from .series import TimeSeries
@@ -20,6 +20,81 @@ _EIGENVALUE_TOL = 1e-9
 # Lag above which the direct second difference of k^(2H) loses too many
 # digits to cancellation and the series expansion takes over.
 _SERIES_LAG = 16
+
+# Draws per block: raw words and the inverse CDF's temporaries stay this small.
+_CHUNK = 1 << 16
+
+# The largest double below 1: k = 2**53 - 1 makes (k + 1/2) / 2**53 round to 1.
+_MAX_UNIFORM = 1.0 - 2.0**-53
+
+# Cephes ndtri (S. L. Moshier, Methods and Programs for Mathematical
+# Functions, 1989), the inverse normal CDF scipy.special.ndtri runs.  For
+# exp(-2) < u <= 1 - exp(-2), with y = u - 1/2, the normal is
+# sqrt(2 pi) (y + y y^2 P0(y^2) / Q0(y^2)); in the tails, with
+# x = sqrt(-2 log min(u, 1 - u)) and z = 1/x, it is
+# +-(x - log(x)/x - z P(z) / Q(z)), with P1/Q1 for x < 8 and P2/Q2 beyond.
+# Each Q has a leading coefficient of 1, left out here as in Cephes.
+_EXP_M2 = 0.13533528323661269189
+_S2PI = 2.50662827463100050242e0
+_P0 = (
+    -5.99633501014107895267e1,
+    9.80010754185999661536e1,
+    -5.66762857469070293439e1,
+    1.39312609387279679503e1,
+    -1.23916583867381258016e0,
+)
+_Q0 = (
+    1.95448858338141759834e0,
+    4.67627912898881538453e0,
+    8.63602421390890590575e1,
+    -2.25462687854119370527e2,
+    2.00260212380060660359e2,
+    -8.20372256168333339912e1,
+    1.59056225126211695515e1,
+    -1.18331621121330003142e0,
+)
+_P1 = (
+    4.05544892305962419923e0,
+    3.15251094599893866154e1,
+    5.71628192246421288162e1,
+    4.40805073893200834700e1,
+    1.46849561928858024014e1,
+    2.18663306850790267539e0,
+    -1.40256079171354495875e-1,
+    -3.50424626827848203418e-2,
+    -8.57456785154685413611e-4,
+)
+_Q1 = (
+    1.57799883256466749731e1,
+    4.53907635128879210584e1,
+    4.13172038254672030440e1,
+    1.50425385692907503408e1,
+    2.50464946208309415979e0,
+    -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2,
+    -9.33259480895457427372e-4,
+)
+_P2 = (
+    3.23774891776946035970e0,
+    6.91522889068984211695e0,
+    3.93881025292474443415e0,
+    1.33303460815807542389e0,
+    2.01485389549179081538e-1,
+    1.23716634817820021358e-2,
+    3.01581553508235416007e-4,
+    2.65806974686737550832e-6,
+    6.23974539184983293730e-9,
+)
+_Q2 = (
+    6.02427039364742014255e0,
+    3.67983563856160859403e0,
+    1.37702099489081330271e0,
+    2.16236993594496635890e-1,
+    1.34204006088543189037e-2,
+    3.28014464682127739104e-4,
+    2.89247864745380683936e-6,
+    6.79019408009981274425e-9,
+)
 
 
 @dataclass(frozen=True)
@@ -106,24 +181,96 @@ def uniform_draws(seeds, size: int, name: str = "seed") -> np.ndarray:
 
     Every seed must lie in [0, 2**64); ``name`` labels one that does not in the
     ValueError.  One generator is re-keyed per row through its ``state``, which
-    draws what a fresh ``Philox(key=seed)`` would.
+    draws what a fresh ``Philox(key=seed)`` would; a row's raw words are drawn
+    ``_CHUNK`` at a time, since consecutive ``random_raw`` calls continue one stream.
     """
     seeds = [int(seed) for seed in seeds]
     for seed in seeds:
         if not 0 <= seed < 1 << 64:
             raise ValueError(f"{name} must lie in [0, 2**64), got {seed}")
-    bits = np.random.Philox(key=0)
+    bits = Philox(key=0)
     state = bits.state  # zero counter, empty buffer: a fresh generator's state
     out = np.empty((len(seeds), size))
     for row, seed in zip(out, seeds):
         state["state"]["key"] = np.array([seed, 0], dtype=np.uint64)
         bits.state = state
-        # Generator.integers(0, 2**53) draws x >> 11 from each raw word x:
-        # Lemire's bounded draw never rejects a power-of-two range
-        np.right_shift(bits.random_raw(size), 11, out=row, casting="unsafe")
+        for start in range(0, size, _CHUNK):
+            block = row[start : start + _CHUNK]
+            _dyadic_uniforms(bits.random_raw(block.size), out=block)
+    return out
+
+
+def _dyadic_uniforms(words: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(k + 1/2) / 2**53 with k = word >> 11 for each raw 64-bit word, at most
+    ``_MAX_UNIFORM``, into ``out``.
+
+    Generator.integers(0, 2**53) draws k the same way: Lemire's bounded draw
+    never rejects a power-of-two range.
+    """
+    np.right_shift(words, 11, out=out, casting="unsafe")
     out += 0.5
     out *= 2.0**-53
+    return np.minimum(out, _MAX_UNIFORM, out=out)
+
+
+def _polevl(x: np.ndarray, coef, out=None) -> np.ndarray:
+    """coef[0] x^N + ... + coef[N] by Horner's rule, in Cephes' operation order."""
+    out = np.multiply(x, coef[0], out=out)
+    out += coef[1]
+    for c in coef[2:]:
+        out *= x
+        out += c
     return out
+
+
+def _p1evl(x: np.ndarray, coef, out=None) -> np.ndarray:
+    """x^N + coef[0] x^(N-1) + ... + coef[N-1]: ``_polevl`` with a leading 1."""
+    out = np.add(x, coef[0], out=out)
+    for c in coef[1:]:
+        out *= x
+        out += c
+    return out
+
+
+def _ndtri_tail(u: np.ndarray) -> np.ndarray:
+    """Cephes ndtri of uniforms outside (exp(-2), 1 - exp(-2)]."""
+    x = np.sqrt(-2.0 * np.log(np.minimum(u, 1.0 - u)))  # 1 - u is exact above 1/2
+    z = 1.0 / x
+    x1 = z * _polevl(z, _P1) / _p1evl(z, _Q1)
+    far = np.flatnonzero(x >= 8.0)  # u < exp(-32)
+    if far.size:
+        zf = z[far]
+        x1[far] = zf * _polevl(zf, _P2) / _p1evl(zf, _Q2)
+    x0 = x - np.log(x) / x
+    return np.copysign(x0 - x1, u - 0.5)
+
+
+def _ndtri(u: np.ndarray) -> np.ndarray:
+    """Standard normal quantiles of the uniforms in ``u`` (contiguous, in (0, 1)),
+    written over them; Cephes ndtri in C's operation order, ``_CHUNK`` at a time.
+
+    Each block evaluates the central branch in full and its tail values by
+    index, so the central branch matches scipy.special.ndtri bit for bit; the
+    tails differ from it only where numpy's ``log`` differs from the C library's.
+    """
+    flat = u.reshape(-1)
+    buffers = np.empty((4, min(flat.size, _CHUNK)))
+    for start in range(0, flat.size, _CHUNK):
+        block = flat[start : start + _CHUNK]
+        y, y2, num, den = buffers[:, : block.size]
+        tails = np.flatnonzero((block <= _EXP_M2) | (block > 1.0 - _EXP_M2))
+        tail_values = _ndtri_tail(block[tails])
+        # x = y + y * (y2 * P0(y2) / Q0(y2)), then sqrt(2 pi) x
+        np.subtract(block, 0.5, out=y)
+        np.multiply(y, y, out=y2)
+        _polevl(y2, _P0, num)
+        num *= y2
+        num /= _p1evl(y2, _Q0, den)
+        num *= y
+        num += y
+        np.multiply(num, _S2PI, out=block)
+        block[tails] = tail_values
+    return u
 
 
 @lru_cache(maxsize=16)
@@ -169,11 +316,11 @@ def simulate_fgn_paths(params: FgnParams, seeds) -> np.ndarray:
     """
     n = params.n
     if n == 1:
-        return math.sqrt(params.sigma2) * ndtri(uniform_draws(seeds, 1))
+        return math.sqrt(params.sigma2) * _ndtri(uniform_draws(seeds, 1))
 
     amplitudes = _embedding_amplitudes(params)  # first: its peak then holds no draws
     m = 2 * (n - 1)
-    draws = ndtri(uniform_draws(seeds, m))
+    draws = _ndtri(uniform_draws(seeds, m))
     half = math.sqrt(0.5)
     # conj(w) with w_k = (a + i b) / sqrt(2) for 0 < k < n-1, filled in place
     w = np.empty((draws.shape[0], n), dtype=np.complex128)

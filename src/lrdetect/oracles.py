@@ -11,7 +11,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import WindowExceedsSeries
 from .fgn import FgnParams, uniform_draws
@@ -108,7 +107,10 @@ def embedding_amplitudes(params: FgnParams) -> np.ndarray:
 def fgn_paths(params: FgnParams, seeds) -> np.ndarray:
     """Circulant-embedding fGN paths through full complex transforms: the
     Hermitian vector w of scaled draws, mirrored to all 2(n-1) entries, and the
-    real part of its FFT, row i drawn from ``seeds[i]`` as the simulator draws it."""
+    real part of its FFT, row i drawn from ``seeds[i]`` as the simulator draws it,
+    with scipy's inverse normal CDF (scipy is a test dependency only)."""
+    from scipy.special import ndtri
+
     n = params.n
     draws = ndtri(uniform_draws(seeds, 1 if n == 1 else 2 * (n - 1)))
     if n == 1:
@@ -146,6 +148,7 @@ def seed_hash(*entropy: int) -> int:
 
 
 def philox_uniforms(seed: int, size: int) -> np.ndarray:
-    """``size`` dyadic uniforms (k + 1/2) / 2**53 from a fresh Philox generator keyed by ``seed``."""
+    """``size`` dyadic uniforms (k + 1/2) / 2**53 from a fresh Philox generator keyed
+    by ``seed``, each at most the largest double below 1."""
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    return (rng.integers(0, 1 << 53, size=size) + 0.5) * 2.0**-53
+    return np.minimum((rng.integers(0, 1 << 53, size=size) + 0.5) * 2.0**-53, 1.0 - 2.0**-53)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -458,3 +462,46 @@ def test_rank_rejects_results_name_without_length(tmp_path, capsys):
     results.write_text("estimator,n1,n2,tp,fp,tn,fn,skips,accuracy,sensitivity,specificity\n")
     assert main(["rank", str(results)]) == 1
     assert str(results) in capsys.readouterr().err
+
+
+# Refuses every scipy import, then runs each command end to end; exits nonzero on
+# a failed command or if any scipy module was loaded.
+_WITHOUT_SCIPY = """
+import importlib.abc, sys
+
+class RefuseScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"scipy is not a runtime dependency: {name}")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+from lrdetect.cli import main
+
+out = sys.argv[1]
+series = f"{out}/subordinated-fgn_h0.8000_r000.csv"
+commands = [
+    ["simulate", "--scenario", "subordinated-fgn", "--hurst", "0.8", "--length", "300", "--seed", "3", "--out-dir", out],
+    ["estimate", series, "--estimator", "variance", "--n1", "1", "--n2", "8"],
+    ["estimate", series, "--estimator", "gph", "--trim", "1", "--bandwidth", "60", "--quantile-transform", "20", "--level-seed", "4"],
+    ["study", "--seed", "1", "--scenario", "subordinated-fgn", "--lengths", "50", "--replications", "2",
+     "--out-dir", f"{out}/study", "--workers", "1"],
+    ["rank", f"{out}/study/results_subordinated-fgn_n50.csv", "-k", "3"],
+]
+for argv in commands:
+    assert main(argv) == 0, argv
+assert not [name for name in sys.modules if name.partition(".")[0] == "scipy"]
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    import lrdetect
+
+    src = str(Path(lrdetect.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert "results_subordinated-fgn_n50.csv" in done.stdout
+    assert (tmp_path / "subordinated-fgn_h0.8000_r000.csv").exists()

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from lrdetect import (
     FgnParams,
@@ -13,8 +14,16 @@ from lrdetect import (
     simulate_fgn,
     subordinate,
 )
-from lrdetect import oracles
-from lrdetect.fgn import _autocovariance_vector, _embedding_amplitudes, simulate_fgn_paths
+from lrdetect import fgn, oracles
+from lrdetect.fgn import (
+    _EXP_M2,
+    _autocovariance_vector,
+    _dyadic_uniforms,
+    _embedding_amplitudes,
+    _ndtri,
+    simulate_fgn_paths,
+    uniform_draws,
+)
 
 
 def test_autocovariance_white_noise():
@@ -183,3 +192,83 @@ def test_subordinate_overflow():
 def test_subordination_params_validation():
     with pytest.raises(ValueError):
         SubordinationParams(0.0)
+
+
+def _ulps(a, b):
+    """Units in the last place between same-signed doubles, elementwise."""
+    return np.abs(np.asarray(a).view(np.int64) - np.asarray(b).view(np.int64))
+
+
+@pytest.fixture(scope="module")
+def grid():
+    """1.57 million simulator uniforms, about 73% of them on the central branch."""
+    return uniform_draws(range(6), 1 << 18).ravel()
+
+
+def test_inverse_cdf_matches_scipy_bit_for_bit_on_the_central_branch(grid):
+    central = grid[(grid > _EXP_M2) & (grid <= 1.0 - _EXP_M2)]
+    assert central.size > 10**6
+    assert np.array_equal(_ndtri(central.copy()), ndtri(central))
+
+
+def test_inverse_cdf_at_the_branch_edges():
+    edges = []
+    for edge in (_EXP_M2, 1.0 - _EXP_M2):
+        below, above = np.nextafter(edge, 0.0), np.nextafter(edge, 1.0)
+        edges += [np.nextafter(below, 0.0), below, edge, above, np.nextafter(above, 1.0)]
+    u = np.array(edges)
+    got, ref = _ndtri(u.copy()), ndtri(u)
+    central = (u > _EXP_M2) & (u <= 1.0 - _EXP_M2)
+    assert central.tolist() == [False, False, False, True, True] + [True, True, True, False, False]
+    assert np.array_equal(got[central], ref[central])
+    # the tail side runs numpy's log, which may differ from the C library's in the last bits
+    assert _ulps(got[~central], ref[~central]).max() <= 5
+
+
+def test_inverse_cdf_tails_within_a_few_ulp_of_scipy(grid):
+    tail = grid[(grid <= _EXP_M2) | (grid > 1.0 - _EXP_M2)]
+    got, ref = _ndtri(tail.copy()), ndtri(tail)
+    differing = np.count_nonzero(got != ref)
+    print(f"tail draws differing from scipy.special.ndtri: {differing} of {tail.size}")
+    assert _ulps(got, ref).max() <= 5
+    # numpy's log differs from the C library's on about 5e-4 of tail inputs
+    assert differing <= 2e-3 * tail.size
+
+
+def test_inverse_cdf_at_the_grid_extremes():
+    # below exp(-32) = 1.27e-14, or within it of 1, x = sqrt(-2 log y) >= 8 takes P2/Q2
+    deep = np.geomspace(2.0**-54, 1.26e-14, 40)
+    ends = (np.arange(1, 60) * 2.0**-53)[::-1]
+    u = np.concatenate([deep, [1.27e-14, 1e-10, 1e-3, 0.5, 1 - 1e-3], 1.0 - ends])
+    got, ref = _ndtri(u.copy()), ndtri(u)
+    assert np.isfinite(got).all()
+    assert np.all(np.diff(got) > 0)
+    assert np.array_equal(np.sign(got), np.sign(ref))
+    assert _ulps(np.abs(got), np.abs(ref)).max() <= 5
+    assert got[deep.size + 3] == 0.0
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1000])
+def test_blocked_inverse_cdf_matches_one_block(monkeypatch, chunk):
+    u = uniform_draws([5, 6], 2501)  # rows and blocks end at different draws
+    whole = _ndtri(u.copy())
+    monkeypatch.setattr(fgn, "_CHUNK", chunk)
+    assert np.array_equal(_ndtri(u.copy()), whole)
+
+
+def test_raw_words_map_strictly_inside_the_unit_interval():
+    # 2**64 - 1 keeps k = 2**53 - 1, whose (k + 1/2) / 2**53 rounds to 1
+    words = np.array([0, 1 << 11, 2**64 - 1], dtype=np.uint64)
+    u = _dyadic_uniforms(words, out=np.empty(3))
+    assert u.tolist() == [2.0**-54, 1.5 * 2.0**-53, 1.0 - 2.0**-53]
+    assert np.isfinite(_ndtri(u)).all()
+
+
+@pytest.mark.parametrize("chunk,size", [(1, 50), (3, 1000), (None, 2 * fgn._CHUNK + 5)])
+def test_blocked_draws_continue_one_stream(monkeypatch, chunk, size):
+    if chunk is not None:
+        monkeypatch.setattr(fgn, "_CHUNK", chunk)
+    seeds = [0, 2**64 - 1]
+    draws = uniform_draws(seeds, size)
+    for row, seed in zip(draws, seeds):
+        assert np.array_equal(row, oracles.philox_uniforms(seed, size))

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 
 from lrdetect import FgnParams, TimeSeries, read_series_csv, write_series_csv
-from lrdetect.fgn import _embedding_amplitudes, simulate_fgn_paths
+from lrdetect.fgn import _embedding_amplitudes, simulate_fgn_paths, uniform_draws
 
 N = 1 << 18
 
@@ -39,7 +39,12 @@ def test_simulation_holds_few_arrays():
     params = FgnParams(hurst=0.8, n=N)
     _embedding_amplitudes(params)  # cached, as after a process's first path
     # the draws and the half spectrum, then the spectrum and the transform: 4.0 measured
-    assert _peak_arrays(simulate_fgn_paths, params, [3]) <= 4.5
+    assert _peak_arrays(simulate_fgn_paths, params, [3]) <= 4.25
+
+
+def test_uniform_draws_hold_one_block_of_raw_words():
+    # the result and one block of raw words: 1.28 measured (a whole row of words: 2.0)
+    assert _peak_arrays(uniform_draws, [3], N) <= 1.5
 
 
 def test_series_csv_writer_holds_few_arrays(tmp_path):
