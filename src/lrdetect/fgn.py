@@ -182,7 +182,8 @@ def uniform_draws(seeds, size: int, name: str = "seed") -> np.ndarray:
     Every seed must lie in [0, 2**64); ``name`` labels one that does not in the
     ValueError.  One generator is re-keyed per row through its ``state``, which
     draws what a fresh ``Philox(key=seed)`` would; a row's raw words are drawn
-    ``_CHUNK`` at a time, since consecutive ``random_raw`` calls continue one stream.
+    ``_CHUNK`` at a time, since consecutive ``random_raw`` calls continue one stream,
+    into the result's own bytes, which are then converted in place.
     """
     seeds = [int(seed) for seed in seeds]
     for seed in seeds:
@@ -191,18 +192,22 @@ def uniform_draws(seeds, size: int, name: str = "seed") -> np.ndarray:
     bits = Philox(key=0)
     state = bits.state  # zero counter, empty buffer: a fresh generator's state
     out = np.empty((len(seeds), size))
-    for row, seed in zip(out, seeds):
+    for row, seed in zip(out.view(np.uint64), seeds):
         state["state"]["key"] = np.array([seed, 0], dtype=np.uint64)
         bits.state = state
         for start in range(0, size, _CHUNK):
             block = row[start : start + _CHUNK]
-            _dyadic_uniforms(bits.random_raw(block.size), out=block)
+            block[...] = bits.random_raw(block.size)
+    flat = out.reshape(-1)
+    words = flat.view(np.uint64)
+    for start in range(0, flat.size, _CHUNK):
+        _dyadic_uniforms(words[start : start + _CHUNK], out=flat[start : start + _CHUNK])
     return out
 
 
 def _dyadic_uniforms(words: np.ndarray, out: np.ndarray) -> np.ndarray:
     """(k + 1/2) / 2**53 with k = word >> 11 for each raw 64-bit word, at most
-    ``_MAX_UNIFORM``, into ``out``.
+    ``_MAX_UNIFORM``, into ``out``, which may be the words' own memory.
 
     Generator.integers(0, 2**53) draws k the same way: Lemire's bounded draw
     never rejects a power-of-two range.

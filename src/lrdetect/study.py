@@ -17,7 +17,6 @@ import numbers
 import operator
 import os
 from collections.abc import Iterable, Mapping
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -552,7 +551,14 @@ def run_study(cfg: StudyConfig) -> list[MetricsReport]:
     }
     evaluate = _CellRunner(cfg, levels, grids)
     size = pool_size(cfg.workers, len(cells))
-    with ProcessPoolExecutor(max_workers=size) if size > 1 else contextlib.nullcontext() as pool:
+    if size > 1:
+        # imported only here: loading multiprocessing costs ~20 ms of every import
+        from concurrent.futures import ProcessPoolExecutor
+
+        context = ProcessPoolExecutor(max_workers=size)
+    else:
+        context = contextlib.nullcontext()
+    with context as pool:
         if pool is None:
             results = map(evaluate, cells)
         else:

@@ -107,31 +107,53 @@ class BlockVarianceCurve:
 def block_variance_rows(values: np.ndarray, n1: int, n2: int) -> np.ndarray:
     """Variance of overlapping block means for every block length l in [n1, n2], per row.
 
-    For each row and each l the n - l + 1 overlapping blocks (x(k), ...,
+    For each row and each l the c = n - l + 1 overlapping blocks (x(k), ...,
     x(k+l-1)) are averaged and their population variance around the mean of
-    all block means is returned; column i holds length n1 + i.  One
-    prefix-sum pass over the centered rows makes each length one array pass
-    over all rows; centering costs nothing (the statistic is shift-invariant)
-    and keeps the prefix sums from growing.  Every row is computed as if it
-    were alone.
+    all block means is returned; column i holds length n1 + i.  The rows are
+    centred (the statistic is shift-invariant; the centre only keeps the
+    prefix sums small) and summed once; each length then writes its block
+    sums b into one reused buffer and takes their sum s1 and sum of squares
+    s2, so S_l^2 = (s2 - s1^2 / c) / (c l^2) costs three array passes.
+
+    The one-pass difference V = s2 - s1^2 / c loses about log2(s2 / V) bits
+    (Chan, Golub & LeVeque, Am. Statist. 37, 1983).  Wherever V * 2**16 <= s2,
+    which also covers V <= 0, c = 1 and equal block sums, that entry is
+    recomputed in the deviation form: block means, minus their mean, dotted.
+    Every row is computed as if it were alone, whatever the memory layout of
+    ``values``: a row's bits do not depend on the batch it comes in.
     """
-    values = np.asarray(values, dtype=np.float64)
+    values = np.ascontiguousarray(values, dtype=np.float64)
     rows, n = values.shape
     if n1 < 1 or n2 < n1:
         raise ValueError(f"need 1 <= n1 <= n2, got ({n1}, {n2})")
     if n2 > n:
         raise WindowExceedsSeries(f"n2={n2} exceeds series length {n}")
-    means = np.array([math.fsum(memoryview(row)) / n for row in values])
     prefix = np.zeros((rows, n + 1))
-    np.subtract(values, means[:, None], out=prefix[:, 1:])
+    np.subtract(values, (np.add.reduce(values, axis=1) / n)[:, None], out=prefix[:, 1:])
     np.cumsum(prefix[:, 1:], axis=1, out=prefix[:, 1:])
-    out = np.empty((rows, n2 - n1 + 1))
-    for i, length in enumerate(range(n1, n2 + 1)):
-        blocks = (prefix[:, length:] - prefix[:, :-length]) / length
-        count = blocks.shape[1]
-        deviations = blocks - np.add.reduce(blocks, axis=1, keepdims=True) / count
+    lengths = np.arange(n1, n2 + 1)
+    counts = n + 1 - lengths
+    sums = np.empty((lengths.size, rows))
+    squares = np.empty((lengths.size, rows, 1, 1))
+    # Row r's block sums of length l land at the start of buffer[r]: one flat
+    # difference over all rows, whose last l values per row straddle two rows.
+    buffer = np.empty((rows, n + 1))
+    flat, flat_prefix = buffer.reshape(-1), prefix.reshape(-1)
+    for i, (length, count) in enumerate(zip(lengths.tolist(), counts.tolist())):
+        np.subtract(flat_prefix[length:], flat_prefix[:-length], out=flat[:-length])
+        blocks = buffer[:, :count]
+        np.add.reduce(blocks, axis=1, out=sums[i])
         # stacked row dot products: bit-identical to one ddot per row
-        out[:, i] = (deviations[:, None, :] @ deviations[:, :, None])[:, 0, 0] / count
+        np.matmul(blocks[:, None, :], blocks[:, :, None], out=squares[i])
+    sums, squares = sums.T, squares[:, :, 0, 0].T
+    spread = squares - sums**2 / counts
+    out = spread / (counts * lengths**2.0)
+    redo = spread * 2.0**16 <= squares
+    for i in np.flatnonzero(redo.any(axis=0)).tolist():
+        length, count, flagged = n1 + i, counts[i], np.flatnonzero(redo[:, i])
+        means = (prefix[flagged, length:] - prefix[flagged, :-length]) / length
+        deviations = means - np.add.reduce(means, axis=1, keepdims=True) / count
+        out[flagged, i] = (deviations[:, None, :] @ deviations[:, :, None])[:, 0, 0] / count
     return out
 
 

@@ -106,6 +106,18 @@ def test_batched_rows_match_per_series_functions():
     assert single[1, 0] == simulate_fgn(FgnParams(hurst=0.3, n=1), 6).values[0]
 
 
+def test_block_variance_rows_do_not_depend_on_batch_or_layout():
+    rng = np.random.default_rng(31)
+    for n in (7, 50, 301):
+        x = rng.standard_normal((5, n))
+        # near-periodic (takes the deviation-form fallback) and constant rows
+        x[1] = np.sin(2.0 * np.pi * np.arange(n) / 5) + 1e-9 * rng.standard_normal(n)
+        x[3] = 2.5
+        alone = np.vstack([block_variance_rows(row[None, :], 1, n) for row in x])
+        for layout in (x, np.asfortranarray(x), np.repeat(x, 2, axis=0)[::2]):
+            assert np.array_equal(block_variance_rows(layout, 1, n), alone), n
+
+
 @pytest.mark.parametrize("scenario", ["fgn", "subordinated-fgn"])
 def test_chunk_size_does_not_change_reports(monkeypatch, scenario):
     cfg = StudyConfig(

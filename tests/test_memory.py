@@ -10,6 +10,7 @@ import numpy as np
 
 from lrdetect import FgnParams, TimeSeries, read_series_csv, write_series_csv
 from lrdetect.fgn import _embedding_amplitudes, simulate_fgn_paths, uniform_draws
+from lrdetect.varplot import block_variance_rows
 
 N = 1 << 18
 
@@ -45,6 +46,12 @@ def test_simulation_holds_few_arrays():
 def test_uniform_draws_hold_one_block_of_raw_words():
     # the result and one block of raw words: 1.28 measured (a whole row of words: 2.0)
     assert _peak_arrays(uniform_draws, [3], N) <= 1.5
+
+
+def test_block_variances_hold_two_arrays():
+    # the prefix sums and one reused block buffer: 2.00 measured (the two-pass form: 4.0)
+    x = np.random.default_rng(4).standard_normal((1, N))
+    assert _peak_arrays(block_variance_rows, x, 1, 60) <= 2.25
 
 
 def test_series_csv_writer_holds_few_arrays(tmp_path):

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,6 +207,17 @@ def test_worker_count_has_a_ceiling():
     small_cfg(workers=MAX_WORKERS).validate()
     with pytest.raises(ConfigError, match="workers"):
         small_cfg(workers=MAX_WORKERS + 1).validate()
+
+
+def test_import_does_not_load_multiprocessing():
+    import lrdetect
+
+    src = str(Path(lrdetect.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    check = "import sys, lrdetect; print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_psi_has_a_ceiling():

@@ -21,7 +21,8 @@ from lrdetect import (
     simulate_fgn,
     variance_plot_slope,
 )
-from lrdetect.oracles import exact_mean_variance
+from lrdetect.excursion import draw_levels, excursion_rows
+from lrdetect.oracles import exact_mean_variance, naive_block_variances
 
 
 def fit_with_slope(slope):
@@ -53,6 +54,33 @@ def test_block_variance_window_validation():
         block_mean_variances(x, 1, 4)
     with pytest.raises(ValueError):
         block_mean_variances(x, 0, 2)
+
+
+KERNEL_INPUTS = ("white", "fgn", "shares", "periodic")
+
+
+def _kernel_input(kind, n, rng):
+    if kind == "white":
+        return rng.standard_normal(n)
+    if kind == "periodic":
+        # a period dividing l makes the block sums nearly equal: the one-pass form cancels
+        period = int(rng.integers(2, 12))
+        return np.sin(2.0 * np.pi * np.arange(n) / period) + 1e-3 * rng.standard_normal(n)
+    fgn = simulate_fgn(FgnParams(hurst=0.9, n=n), int(rng.integers(2**32))).values
+    return fgn if kind == "fgn" else excursion_rows(fgn[None, :], draw_levels(100, n))[0]
+
+
+@pytest.mark.parametrize("kind", KERNEL_INPUTS)
+def test_block_variances_match_naive_oracle_at_every_length(kind):
+    rng = np.random.default_rng(KERNEL_INPUTS.index(kind))
+    # about one periodic draw in eight cancels enough to fail an unguarded one-pass kernel
+    for _ in range(40 if kind == "periodic" else 12):
+        n = int(rng.integers(4, 301))
+        x = TimeSeries(_kernel_input(kind, n, rng))
+        fast = block_mean_variances(x, 1, n - 1).s2
+        slow = naive_block_variances(x, 1, n - 1).s2
+        assert np.array_equal(fast == 0.0, slow == 0.0), n
+        np.testing.assert_allclose(fast, slow, rtol=1e-9, atol=0, err_msg=f"n={n}")
 
 
 def test_injected_power_law_recovers_slope():
