@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import WindowExceedsSeries, ZeroPeriodogramOrdinate
+from .errors import OverflowValue, WindowExceedsSeries, ZeroPeriodogramOrdinate
 from .series import RegressionFit, TimeSeries, ols_slope
 
 # A GPH estimate of d above this value means LRD.
@@ -112,16 +112,19 @@ def gph_from_ordinates(ordinates: np.ndarray, n: int, cfg: GphConfig) -> Regress
     """Log-periodogram regression on precomputed full-grid ordinates.
 
     Regresses log I(lambda_j) on -2*log(lambda_j) for j = trim..bandwidth;
-    the slope estimates the memory parameter d.
+    the slope estimates the memory parameter d.  A non-finite (overflowing),
+    negative or zero window ordinate raises an error naming its indices.
     """
     trim, bandwidth = cfg.resolve(n)
     indices = np.arange(trim, bandwidth + 1)
-    used = np.asarray(ordinates)[indices]
-    if np.any(used == 0.0):
-        zero_at = indices[used == 0.0]
-        raise ZeroPeriodogramOrdinate(
-            f"zero ordinate at frequency indices {zero_at.tolist()}"
-        )
+    used = np.asarray(ordinates, dtype=np.float64)[indices]
+    for bad, error, what in (
+        (~np.isfinite(used), OverflowValue, "overflowing (non-finite)"),
+        (used < 0.0, ValueError, "negative"),
+        (used == 0.0, ZeroPeriodogramOrdinate, "zero"),
+    ):
+        if bad.any():
+            raise error(f"{what} ordinate at frequency indices {indices[bad].tolist()}")
     return ols_slope(gph_regressors(indices, n), np.log(used))
 
 

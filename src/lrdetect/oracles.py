@@ -21,6 +21,14 @@ from .varplot import BlockVarianceCurve
 CovarianceFunction = Callable[[int], float]
 
 
+def ols_slope(xs, ys) -> float:
+    """Least-squares slope sum((x - xbar)(y - ybar)) / sum((x - xbar)^2), every
+    sum compensated with ``math.fsum``."""
+    x, y = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
+    dx = x - math.fsum(x) / x.size
+    return math.fsum(dx * (y - math.fsum(y) / y.size)) / math.fsum(dx * dx)
+
+
 def exact_mean_variance(gamma: CovarianceFunction, n: int) -> float:
     """Variance of the n-sample mean from the covariance function:
 

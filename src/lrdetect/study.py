@@ -27,6 +27,7 @@ from .errors import ConfigError, WindowExceedsSeries
 from .excursion import MAX_PSI, QuantileMeasure, draw_levels, excursion_rows
 from .fgn import FgnParams, simulate_fgn_paths
 from .gph import GPH_LRD_THRESHOLD, GphConfig, gph_regressors, ordinate_rows
+from .series import WindowGrid
 from .varplot import VARIANCE_LRD_THRESHOLD, VariancePlotConfig, block_variance_rows
 
 SCENARIOS = ("fgn", "subordinated-fgn")
@@ -35,8 +36,7 @@ ESTIMATORS = ("variance", "gph")
 _SCENARIO_CODE = {"fgn": 0, "subordinated-fgn": 1}
 _LEVELS_STREAM = 2  # entropy tag separating the level panel from path seeds
 
-# Float64 elements that bound one cell's normals (rows x 2n), and one block
-# of window weights (segments x windows) and of slopes (rows x windows).
+# Float64 elements that bound one cell's normals (rows x 2n).
 _CHUNK = 1 << 16
 _GPH_GRID_POINTS = 50  # endpoints per axis that the default GPH grid's stride aims for
 
@@ -346,111 +346,6 @@ class MetricsReport:
     def specificity(self) -> float:
         negatives = self.tn + self.fp
         return self.tn / negatives if negatives else math.nan
-
-
-class WindowGrid:
-    """Least-squares slopes of many rows over many windows of one regressor.
-
-    ``windows`` holds inclusive (start, stop) positions into ``xs``, at least
-    two positions each.  All
-    window endpoints cut the regressor into segments; each row reduces to
-    per-segment sums Y_s = sum y_j and C_s = sum (x_j - a_s) y_j, where the
-    anchor a_s is the segment's first regressor value.  Window w's slope is
-
-        (sum_s C_s + sum_s (a_s - xbar_w - r_w) Y_s) / Sxx_w
-
-    over its segments.  a_s - xbar_w subtracts two values inside the window's
-    range, so it loses no digits, and the rounding residual r_w of the window
-    mean xbar_w is kept as a separate term, so the weights sum to zero.  This
-    matches ``ols_slope`` to ~1e-12 relative even for narrow windows far from
-    the origin, where differences of prefix sums cancel catastrophically.
-
-    The (segments x windows) weight blocks, at most ``_CHUNK`` elements each,
-    are built once, here, and serve every call.  A boolean membership block
-    is kept beside each only when some segment holds more than one point:
-    otherwise every x_j - a_s is zero, and so is every C_s.
-    """
-
-    def __init__(self, xs, windows):
-        xs = np.asarray(xs, dtype=np.float64)
-        windows = np.asarray(windows, dtype=np.int64).reshape(-1, 2)
-        starts, stops = windows[:, 0], windows[:, 1] + 1
-        cuts = np.unique(np.concatenate([starts, stops]))
-        sizes = np.diff(cuts)
-        self.size = windows.shape[0]
-        self._span = slice(int(cuts[0]), int(cuts[-1]))
-        self._cuts = cuts[:-1] - cuts[0]
-        self._first = np.searchsorted(cuts, starts)
-        self._stop = np.searchsorted(cuts, stops)
-        self._anchors = xs[cuts[:-1]]
-        self._offsets = xs[self._span] - np.repeat(self._anchors, sizes)
-        self._spread = bool(np.any(sizes > 1))
-
-        sums = np.add.reduceat(self._offsets, self._cuts)
-        squares = np.add.reduceat(self._offsets * self._offsets, self._cuts)
-        sizes = sizes.astype(np.float64)
-        counts = (stops - starts).astype(np.float64)
-        self._mean = np.empty(self.size)
-        self._residual = np.zeros(self.size)
-        self._sxx = np.empty(self.size)
-        # (window slice, segment slice, weights, membership or None)
-        self._blocks = []
-        step = max(1, _CHUNK // self._cuts.size)
-        for start in range(0, self.size, step):
-            cols = slice(start, min(start + step, self.size))
-            segs = slice(int(self._first[cols].min()), int(self._stop[cols].max()))
-            index = np.arange(segs.start, segs.stop)[:, None]
-            inside = (index >= self._first[cols]) & (index < self._stop[cols])
-            block = inside.astype(np.float64)
-            self._mean[cols] = ((sizes[segs] * self._anchors[segs] + sums[segs]) @ block) / counts[cols]
-            offset_sums = sums[segs] @ block
-            offset_squares = squares[segs] @ block
-            deviations = self._weights(cols, segs, inside, out=block)  # r_w is still 0 here
-            self._residual[cols] = (offset_sums + sizes[segs] @ deviations) / counts[cols]
-            weights = self._weights(cols, segs, inside, out=block)
-            self._sxx[cols] = offset_squares + 2.0 * (sums[segs] @ weights) + sizes[segs] @ (weights * weights)
-            self._blocks.append((cols, segs, weights, inside if self._spread else None))
-
-    def _weights(self, cols, segs, inside, out):
-        """Per-segment weights a_s - xbar_w - r_w, zero outside each window, written to ``out``."""
-        np.subtract(self._anchors[segs, None], self._mean[cols], out=out)
-        out -= self._residual[cols]
-        out *= inside
-        return out
-
-    def slope_blocks(self, ys):
-        """Yield (window slice, slopes of every row there, flags), one bounded block at a time.
-
-        A window's slope is NaN in rows with a non-finite value inside it, and
-        exactly there its flag is set; flags is None when every value is finite.
-        """
-        values = np.asarray(ys, dtype=np.float64)[:, self._span]
-        bad = ~np.isfinite(values)
-        flagged = None
-        if bad.any():
-            values = np.where(bad, 0.0, values)
-            per_segment = np.add.reduceat(bad, self._cuts, axis=1, dtype=np.int64)
-            prefix = np.zeros((values.shape[0], self._cuts.size + 1), dtype=np.int64)
-            np.cumsum(per_segment, axis=1, out=prefix[:, 1:])
-            flagged = prefix[:, self._stop] > prefix[:, self._first]
-        sums = np.add.reduceat(values, self._cuts, axis=1)
-        if self._spread:
-            moments = np.add.reduceat(values * self._offsets, self._cuts, axis=1)
-        # a block of slopes holds at most _CHUNK elements too
-        step = max(1, _CHUNK // max(self._cuts.size, values.shape[0]))
-        for cols, segs, weights, inside in self._blocks:
-            for start in range(cols.start, cols.stop, step):
-                window = slice(start, min(start + step, cols.stop))
-                part = slice(window.start - cols.start, window.stop - cols.start)
-                slopes = sums[:, segs] @ weights[:, part]
-                if inside is not None:
-                    slopes += moments[:, segs] @ inside[:, part].astype(np.float64)
-                slopes /= self._sxx[window]
-                flags = None
-                if flagged is not None:
-                    flags = flagged[:, window]
-                    slopes[flags] = np.nan
-                yield window, slopes, flags
 
 
 def pool_size(workers: int, cells: int) -> int:

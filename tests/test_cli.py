@@ -505,3 +505,45 @@ def test_commands_run_without_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     assert "results_subordinated-fgn_n50.csv" in done.stdout
     assert (tmp_path / "subordinated-fgn_h0.8000_r000.csv").exists()
+
+
+# Runs both estimators and a one-length study in a fresh process, then prints
+# which of the modules that lrdetect never needs were loaded along the way.
+_IMPORT_WEIGHT = """
+import sys
+import lrdetect
+from lrdetect import cli
+
+out = sys.argv[1]
+series = f"{out}/fgn_h0.7000_r000.csv"
+assert cli.main(["simulate", "--scenario", "fgn", "--hurst", "0.7", "--length", "300", "--seed", "3", "--out-dir", out]) == 0
+assert cli.main(["estimate", series, "--estimator", "variance", "--n1", "1", "--n2", "8"]) == 0
+assert cli.main(["estimate", series, "--estimator", "gph", "--trim", "1", "--bandwidth", "60"]) == 0
+lrdetect.run_study(lrdetect.StudyConfig("fgn", (50,), 2, 1))
+print(sorted({"numpy.ma", "multiprocessing", "scipy"} & set(sys.modules)))
+"""
+
+
+def test_commands_load_no_heavy_modules(tmp_path):
+    import lrdetect
+
+    src = str(Path(lrdetect.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_WEIGHT, str(tmp_path)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_estimate_gph_names_overflowing_ordinates(tmp_path, capsys):
+    # every value is finite, but the periodogram of +-1e200 overflows the float range
+    series = tmp_path / "loud.csv"
+    series.write_text("value\n" + "".join(f"{(-1) ** k * 1e200!r}\n" for k in range(101)))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code = main(["estimate", str(series), "--estimator", "gph", "--trim", "1", "--bandwidth", "20"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "overflow" in captured.err and "frequency indices [1, 2, 3" in captured.err
+    assert "must be finite" not in captured.err

@@ -6,6 +6,7 @@ import pytest
 from lrdetect import (
     FgnParams,
     GphConfig,
+    OverflowValue,
     TimeSeries,
     WindowExceedsSeries,
     ZeroPeriodogramOrdinate,
@@ -157,3 +158,13 @@ def test_config_validation():
 def test_periodogram_needs_two_samples():
     with pytest.raises(ValueError):
         periodogram(TimeSeries([1.0]))
+
+
+@pytest.mark.parametrize("bad,error", [(math.inf, OverflowValue), (math.nan, OverflowValue), (-1.0, ValueError)])
+def test_window_rejects_unusable_ordinates(bad, error):
+    ordinates = full_ordinates(simulate_fgn(FgnParams(hurst=0.6, n=64), 5)).copy()
+    ordinates[[7, 12]] = bad
+    with pytest.raises(error, match=r"frequency indices \[7, 12\]"):
+        gph_from_ordinates(ordinates, 64, GphConfig(trim=1, bandwidth=20))
+    # outside the window the same ordinates are never read
+    assert math.isfinite(gph_from_ordinates(ordinates, 64, GphConfig(trim=13, bandwidth=30)).slope)

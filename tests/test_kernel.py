@@ -13,15 +13,14 @@ from lrdetect import (
     block_mean_variances,
     default_gph_grid,
     default_variance_grid,
-    ols_slope,
     replication_seed,
     run_study,
     simulate_fgn,
 )
-from lrdetect import oracles, study
+from lrdetect import oracles, series, study
 from lrdetect.fgn import simulate_fgn_paths, uniform_draws
 from lrdetect.gph import full_ordinates, gph_regressors, ordinate_rows
-from lrdetect.study import WindowGrid
+from lrdetect.series import WindowGrid
 from lrdetect.varplot import block_variance_rows
 
 
@@ -35,11 +34,12 @@ def _slopes(grid, ys):
 
 
 def _max_relative_error(xs, ys, windows):
-    """Largest |slope - ols_slope| / |ols_slope| over inclusive position windows."""
+    """Largest relative distance of the kernel's slopes from the compensated-sum
+    reference ``oracles.ols_slope`` over inclusive position windows."""
     slopes = _slopes(WindowGrid(xs, windows), ys[None, :])[0]
     worst = 0.0
     for (a, b), slope in zip(windows.tolist(), slopes):
-        ref = ols_slope(xs[a : b + 1], ys[a : b + 1]).slope
+        ref = oracles.ols_slope(xs[a : b + 1], ys[a : b + 1])
         worst = max(worst, abs(slope - ref) / abs(ref))
     return worst
 
@@ -50,7 +50,7 @@ def _gph_window_sets(n):
     top = [(w - width, w) for w in range(n - 1, n - 1 - 10 * stride, -stride) for width in range(1, 21)]
     default = default_gph_grid(n)
     if n > 10_000:
-        # ols_slope costs ~35 ms per 2e5-point window: keep the narrow windows,
+        # oracles.ols_slope costs ~35 ms per 2e5-point window: keep the narrow windows,
         # where cancellation is worst, and every 20th of the wide ones.
         stride = (n - 1) // 50
         default = [
@@ -130,7 +130,8 @@ def test_chunk_size_does_not_change_reports(monkeypatch, scenario):
         psi=30,
     )
     reference = run_study(cfg)
-    monkeypatch.setattr(study, "_CHUNK", 97)
+    monkeypatch.setattr(study, "_CHUNK", 97)  # cells of one row each
+    monkeypatch.setattr(series, "_CHUNK", 97)  # window grids split into many blocks
     assert run_study(cfg) == reference
 
 

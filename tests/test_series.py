@@ -17,13 +17,11 @@ from lrdetect.series import _CSV_CHUNK, _CSV_SLICE
 def test_ols_exact_line():
     fit = ols_slope([1.0, 2.0, 3.0], [-1.0, -2.0, -3.0])
     assert fit.slope == -1.0
-    assert abs(fit.intercept) < 1e-15
 
 
 def test_ols_constant_response():
     fit = ols_slope([0.0, 1.0], [5.0, 5.0])
     assert fit.slope == 0.0
-    assert fit.intercept == 5.0
 
 
 def test_ols_hand_computed_slope():
@@ -51,18 +49,6 @@ def test_ols_rejects_non_finite_design(bad):
         ols_slope([0.0, 1.0, 2.0], [0.0, bad, 2.0])
 
 
-def test_ols_fit_design_is_read_only_copy():
-    xs = np.array([0.0, 1.0, 2.0])
-    ys = np.array([1.0, 0.0, 4.0])
-    fit = ols_slope(xs, ys)
-    for design in (fit.xs, fit.ys):
-        assert not design.flags.writeable
-        with pytest.raises(ValueError):
-            design[0] = 5.0
-    xs[0], ys[0] = 9.0, 9.0
-    assert fit.xs[0] == 0.0 and fit.ys[0] == 1.0
-
-
 def test_ols_affine_response_equivariance():
     rng = np.random.default_rng(7)
     for trial in range(20):
@@ -74,8 +60,6 @@ def test_ols_affine_response_equivariance():
         base = ols_slope(xs, ys)
         scaled = ols_slope(xs, a * ys + b)
         assert abs(scaled.slope - a * base.slope) <= 1e-12 * max(1.0, abs(a * base.slope))
-        want = a * base.intercept + b
-        assert abs(scaled.intercept - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_ols_permutation_invariance():
