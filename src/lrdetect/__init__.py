@@ -51,6 +51,7 @@ from .series import (
 from .study import (
     MetricsReport,
     StudyConfig,
+    StudyReports,
     default_gph_grid,
     default_hurst_grid,
     default_variance_grid,

@@ -67,12 +67,14 @@ class Periodogram:
         object.__setattr__(self, "ordinates", ords)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def ordinate_rows(values: np.ndarray) -> np.ndarray:
     """Periodogram ordinates I(2*pi*j/n) for every index j = 0..n-1, per row.
 
     I(lambda) = |sum_k x(k) e^{-ik*lambda}|^2 / (2*pi*n), computed from one
     real FFT along the rows; indices past the Nyquist fold back via
-    I_j = I_{n-j}.
+    I_j = I_{n-j}.  An ordinate that overflows comes out inf or nan, without
+    a warning.
     """
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[1]

@@ -16,6 +16,7 @@ from .errors import WindowExceedsSeries
 from .fgn import FgnParams, uniform_draws
 from .gph import Periodogram
 from .series import TimeSeries
+from .study import _CSV_ROW, CSV_COLUMNS
 from .varplot import BlockVarianceCurve
 
 CovarianceFunction = Callable[[int], float]
@@ -130,6 +131,15 @@ def fgn_paths(params: FgnParams, seeds) -> np.ndarray:
     w[:, 1 : n - 1] = (draws[:, 2::2] + 1j * draws[:, 3::2]) / math.sqrt(2.0)
     w[:, n:] = np.conjugate(w[:, n - 2 : 0 : -1])
     return np.fft.fft(w * amplitudes, axis=1).real[:, :n] / math.sqrt(amplitudes.size)
+
+
+def report_csv_text(reports, n: int) -> str:
+    """The metrics CSV text of length n, written row by row from report objects:
+    the reports of that length sorted by (estimator, n1, n2), each formatted
+    from its fields and its metric properties."""
+    rows = sorted((r for r in reports if r.series_length == n), key=lambda r: (r.estimator, r.n1, r.n2))
+    lines = [_CSV_ROW % tuple(getattr(r, column) for column in CSV_COLUMNS) for r in rows]
+    return ",".join(CSV_COLUMNS) + "\r\n" + "".join(lines)
 
 
 def csv_reader_series(path) -> TimeSeries:

@@ -148,18 +148,24 @@ class WindowGrid:
     def slope_blocks(self, ys):
         """Yield (window slice, slopes of every row there, flags), one bounded block at a time.
 
-        A window's slope is NaN in rows with a non-finite value inside it, and
-        exactly there its flag is set; flags is None when every value is finite.
+        A window's slope is NaN in rows with a non-finite value inside it.
+        flags is the boolean mask of exactly those slopes, the NaNs of the
+        block, and None for a block in which no slope is flagged.  Flags are
+        computed only for the windows that hold a segment with a non-finite
+        value in some row.
         """
         values = np.asarray(ys, dtype=np.float64)[:, self._span]
         bad = ~np.isfinite(values)
-        flagged = None
+        touched = None
         if bad.any():
             values = np.where(bad, 0.0, values)
             per_segment = np.add.reduceat(bad, self._cuts, axis=1, dtype=np.int64)
             prefix = np.zeros((values.shape[0], self._cuts.size + 1), dtype=np.int64)
             np.cumsum(per_segment, axis=1, out=prefix[:, 1:])
-            flagged = prefix[:, self._stop] > prefix[:, self._first]
+            # windows that hold a non-finite value in some row, and their flags
+            anywhere = prefix.sum(axis=0)
+            touched = np.flatnonzero(anywhere[self._stop] > anywhere[self._first])
+            flagged = prefix[:, self._stop[touched]] > prefix[:, self._first[touched]]
         sums = np.add.reduceat(values, self._cuts, axis=1)
         if self._spread:
             moments = np.add.reduceat(values * self._offsets, self._cuts, axis=1)
@@ -174,9 +180,13 @@ class WindowGrid:
                     slopes += moments[:, segs] @ inside[:, part].astype(np.float64)
                 slopes /= self._sxx[window]
                 flags = None
-                if flagged is not None:
-                    flags = flagged[:, window]
-                    slopes[flags] = np.nan
+                if touched is not None:
+                    low, high = np.searchsorted(touched, (window.start, window.stop)).tolist()
+                    if low < high:
+                        columns = touched[low:high] - window.start
+                        flags = np.zeros(slopes.shape, dtype=bool)
+                        flags[:, columns] = flagged[:, low:high]
+                        slopes[:, columns] = np.where(flagged[:, low:high], np.nan, slopes[:, columns])
                 yield window, slopes, flags
 
 

@@ -8,6 +8,7 @@ the resolved configuration is deterministic, including across worker counts.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import csv
 import itertools
@@ -16,7 +17,7 @@ import math
 import numbers
 import operator
 import os
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -57,10 +58,8 @@ CSV_COLUMNS = (
     "sensitivity",
     "specificity",
 )
-# CSV_COLUMNS read off a MetricsReport, and the row they fill: the columns
-# written as they are, then the derived metrics to six decimals ("nan" when
-# undefined), as csv.writer wrote them.
-_CSV_FIELDS = operator.attrgetter(*CSV_COLUMNS)
+# One row of CSV_COLUMNS: the counts written as they are, then the derived
+# metrics to six decimals ("nan" when undefined), as csv.writer wrote them.
 _CSV_ROW = "%s,%d,%d,%d,%d,%d,%d,%d,%.6f,%.6f,%.6f\r\n"
 # One window of a manifest grid as json.dumps(..., indent=2) prints it.
 _MANIFEST_PAIR = "      [\n        %d,\n        %d\n      ]"
@@ -348,6 +347,52 @@ class MetricsReport:
         return self.tn / negatives if negatives else math.nan
 
 
+class StudyReports(Sequence):
+    """The reports of one study as count columns: a ``Sequence`` of
+    ``MetricsReport`` that builds each report only when it is read.
+
+    ``blocks`` holds one (estimator, series length, counts) triple per length
+    and estimator, in report order: length by length as configured, the
+    variance plot before GPH, windows in grid order.  ``counts`` is a
+    read-only int64 array whose seven rows are the columns n1, n2, tp, fp,
+    tn, fn and skips, one entry per window.  Two tables are equal when their
+    blocks are; a table is never equal to a list.
+    """
+
+    def __init__(self, blocks: Iterable[tuple[str, int, np.ndarray]]):
+        self.blocks = tuple(blocks)
+        for _, _, counts in self.blocks:
+            counts.setflags(write=False)
+        self._ends = list(itertools.accumulate(counts.shape[1] for _, _, counts in self.blocks))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, index: int) -> MetricsReport:
+        index = operator.index(index)
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("report index out of range")
+        at = bisect.bisect_right(self._ends, index)
+        estimator, n, counts = self.blocks[at]
+        n1, n2, *tally = counts[:, index - (self._ends[at - 1] if at else 0)].tolist()
+        return MetricsReport(estimator, n1, n2, n, *tally)
+
+    def __iter__(self):
+        for estimator, n, counts in self.blocks:
+            for n1, n2, *tally in zip(*counts.tolist()):
+                yield MetricsReport(estimator, n1, n2, n, *tally)
+
+    def __eq__(self, other):
+        if not isinstance(other, StudyReports):
+            return NotImplemented
+        return len(self.blocks) == len(other.blocks) and all(
+            mine[:2] == theirs[:2] and np.array_equal(mine[2], theirs[2])
+            for mine, theirs in zip(self.blocks, other.blocks)
+        )
+
+
 def pool_size(workers: int, cells: int) -> int:
     """Processes for a study pool: no more than asked for, than CPUs, or than cells."""
     return max(1, min(workers, os.cpu_count() or 1, cells))
@@ -357,7 +402,8 @@ def _tally(grid: WindowGrid, logs: np.ndarray, threshold: float) -> np.ndarray:
     """Per window, how many rows are labelled [non-LRD, LRD, skip]; LRD iff slope > threshold."""
     counts = np.zeros((grid.size, 3), dtype=np.int64)
     for cols, slopes, flags in grid.slope_blocks(logs):
-        counts[cols, 1] = np.count_nonzero(slopes > threshold, axis=0)
+        # int32 holds the count: a cell has at most _CHUNK // 8 rows
+        counts[cols, 1] = np.add.reduce(np.greater(slopes, threshold).view(np.uint8), axis=0, dtype=np.int32)
         if flags is not None:
             counts[cols, 2] = np.count_nonzero(flags, axis=0)
     counts[:, 0] = logs.shape[0] - counts[:, 1] - counts[:, 2]
@@ -416,8 +462,9 @@ class _CellRunner:
         )
 
 
-def run_study(cfg: StudyConfig) -> list[MetricsReport]:
-    """Run the full grid and return one report per (estimator, cutoff, length).
+def run_study(cfg: StudyConfig) -> StudyReports:
+    """Run the full grid and return one report per (estimator, cutoff, length),
+    as the count columns of a ``StudyReports`` table; no report object is built.
 
     The work splits into cells of one length, one Hurst value and a chunk of
     at most ``_CHUNK // 2n`` replications.  With ``cfg.workers > 1`` cells are
@@ -462,11 +509,9 @@ def run_study(cfg: StudyConfig) -> list[MetricsReport]:
             for total, part in zip(counts[n], cell_counts):
                 total[:, truths[h_index]] += part
 
-    reports: list[MetricsReport] = []
+    blocks = []
     for n in cfg.lengths:
         for estimator, grid, tally in zip(ESTIMATORS, grids[n], counts[n]):
-            # one list per column: a list per window allocates enough containers
-            # to set off a full garbage collection of the heap
             columns = (
                 grid[:, 0],
                 grid[:, 1],
@@ -476,11 +521,8 @@ def run_study(cfg: StudyConfig) -> list[MetricsReport]:
                 tally[:, 1, 0],  # fn
                 tally[:, :, 2].sum(axis=1),  # skips
             )
-            reports += [
-                MetricsReport(estimator, n1, n2, n, tp, fp, tn, fn, skips)
-                for n1, n2, tp, fp, tn, fn, skips in zip(*(column.tolist() for column in columns))
-            ]
-    return reports
+            blocks.append((estimator, n, np.stack(columns)))
+    return StudyReports(blocks)
 
 
 def rank_cutoffs(reports: list[MetricsReport], k: int) -> list[MetricsReport]:
@@ -502,19 +544,30 @@ def rank_cutoffs(reports: list[MetricsReport], k: int) -> list[MetricsReport]:
     return sorted(reports, key=key)[:k]
 
 
-def write_study_outputs(cfg: StudyConfig, reports: list[MetricsReport], out_dir) -> list[Path]:
-    """One metrics CSV per series length plus a JSON manifest of the resolved config."""
+def write_study_outputs(cfg: StudyConfig, reports: StudyReports, out_dir) -> list[Path]:
+    """One metrics CSV per series length plus a JSON manifest of the resolved config.
+
+    Each CSV is formatted straight from the count columns of ``reports``, the
+    table ``run_study`` returns: rows sorted by (estimator, n1, n2), and the
+    metrics computed here as true divisions of the counts, nan where the
+    denominator is 0, as ``MetricsReport`` computes them.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
+    blocks = sorted(reports.blocks, key=operator.itemgetter(0))  # by estimator name
     for n in cfg.lengths:
-        rows = sorted(
-            (r for r in reports if r.series_length == n),
-            key=lambda r: (r.estimator, r.n1, r.n2),
-        )
+        rows = []
+        for estimator, length, counts in blocks:
+            if length != n:
+                continue
+            n1, n2, tp, fp, tn, fn, skips = counts[:, np.lexsort((counts[1], counts[0]))]
+            with np.errstate(invalid="ignore"):  # 0 / 0 is nan
+                metrics = ((tp + tn) / (tp + fp + tn + fn), tp / (tp + fn), tn / (tn + fp))
+            columns = [column.tolist() for column in (n1, n2, tp, fp, tn, fn, skips, *metrics)]
+            rows += [_CSV_ROW % row for row in zip(itertools.repeat(estimator), *columns)]
         path = out_dir / f"results_{cfg.scenario}_n{n}.csv"
-        text = ",".join(CSV_COLUMNS) + "\r\n" + "".join([_CSV_ROW % _CSV_FIELDS(r) for r in rows])
-        path.write_text(text, newline="")
+        path.write_text(",".join(CSV_COLUMNS) + "\r\n" + "".join(rows), newline="")
         written.append(path)
     manifest = out_dir / f"manifest_{cfg.scenario}.json"
     manifest.write_text(_manifest_text(cfg) + "\n")

@@ -11,6 +11,7 @@ import numpy as np
 from .errors import (
     DegenerateBlockVariance,
     OutOfRangeTheta,
+    OverflowValue,
     WindowExceedsSeries,
 )
 from .series import RegressionFit, TimeSeries, ols_slope
@@ -104,6 +105,7 @@ class BlockVarianceCurve:
         return self.lengths[self.s2 == 0.0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def block_variance_rows(values: np.ndarray, n1: int, n2: int) -> np.ndarray:
     """Variance of overlapping block means for every block length l in [n1, n2], per row.
 
@@ -120,7 +122,8 @@ def block_variance_rows(values: np.ndarray, n1: int, n2: int) -> np.ndarray:
     which also covers V <= 0, c = 1 and equal block sums, that entry is
     recomputed in the deviation form: block means, minus their mean, dotted.
     Every row is computed as if it were alone, whatever the memory layout of
-    ``values``: a row's bits do not depend on the batch it comes in.
+    ``values``: a row's bits do not depend on the batch it comes in.  A
+    variance that overflows comes out inf or nan, without a warning.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     rows, n = values.shape
@@ -158,8 +161,18 @@ def block_variance_rows(values: np.ndarray, n1: int, n2: int) -> np.ndarray:
 
 
 def block_mean_variances(x: TimeSeries, n1: int, n2: int) -> BlockVarianceCurve:
-    """Variances of overlapping block means of one series for block lengths n1..n2."""
-    return BlockVarianceCurve(np.arange(n1, n2 + 1), block_variance_rows(x.values[None, :], n1, n2)[0])
+    """Variances of overlapping block means of one series for block lengths n1..n2.
+
+    A variance that overflows the float range raises OverflowValue naming its block lengths.
+    """
+    lengths = np.arange(n1, n2 + 1)
+    s2 = block_variance_rows(x.values[None, :], n1, n2)[0]
+    overflowing = ~np.isfinite(s2)
+    if overflowing.any():
+        raise OverflowValue(
+            f"overflowing (non-finite) block variance at block lengths {lengths[overflowing].tolist()}"
+        )
+    return BlockVarianceCurve(lengths, s2)
 
 
 def curve_slope(curve: BlockVarianceCurve) -> RegressionFit:

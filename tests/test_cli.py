@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -540,10 +541,27 @@ def test_estimate_gph_names_overflowing_ordinates(tmp_path, capsys):
     # every value is finite, but the periodogram of +-1e200 overflows the float range
     series = tmp_path / "loud.csv"
     series.write_text("value\n" + "".join(f"{(-1) ** k * 1e200!r}\n" for k in range(101)))
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(["estimate", str(series), "--estimator", "gph", "--trim", "1", "--bandwidth", "20"])
     assert code == 1
+    assert [str(w.message) for w in caught] == []
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "overflow" in captured.err and "frequency indices [1, 2, 3" in captured.err
     assert "must be finite" not in captured.err
+
+
+def test_estimate_variance_names_overflowing_block_lengths(tmp_path, capsys):
+    # every value is finite, but the block sums of squares of +-1e200 overflow
+    series = tmp_path / "loud.csv"
+    series.write_text("value\n" + "".join(f"{(-1) ** k * 1e200!r}\n" for k in range(64)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["estimate", str(series), "--estimator", "variance", "--n1", "1", "--n2", "10"])
+    assert code == 1
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "overflow" in captured.err and "block lengths [1, 3, 5, 7, 9]" in captured.err
+    assert "must be finite and nonnegative" not in captured.err

@@ -90,6 +90,27 @@ def test_window_slopes_flag_nonfinite_rows():
     assert all(flags is None for _, _, flags in grid.slope_blocks(ys[:1]))
 
 
+def test_flags_follow_nonfinite_values_across_blocks(monkeypatch):
+    # 3 windows per weight block and 1 per slope block: flags must land in the right columns
+    monkeypatch.setattr(series, "_CHUNK", 40)
+    xs = np.log(np.arange(1.0, 13.0))
+    windows = [(a, b) for a in range(12) for b in range(a + 1, 12)]
+    ys = np.random.default_rng(5).standard_normal((30, 12))
+    ys[3, 5], ys[10, 11], ys[20, 0], ys[21, 6] = -np.inf, np.nan, np.inf, -np.inf
+    bad = np.array([[not np.isfinite(row[a : b + 1]).all() for a, b in windows] for row in ys])
+    blocks = 0
+    for cols, slopes, flags in WindowGrid(xs, windows).slope_blocks(ys):
+        blocks += 1
+        assert np.array_equal(np.isnan(slopes), bad[:, cols])
+        assert (flags is None) == (not bad[:, cols].any())
+        if flags is not None:
+            assert np.array_equal(flags, bad[:, cols])
+        for r, w in zip(*np.nonzero(~bad[:, cols])):
+            (a, b), slope = windows[cols.start + w], slopes[r, w]
+            assert slope == pytest.approx(oracles.ols_slope(xs[a : b + 1], ys[r, a : b + 1]), rel=1e-10)
+    assert blocks == len(windows)
+
+
 def test_batched_rows_match_per_series_functions():
     params = FgnParams(hurst=0.65, n=300)
     seeds = [3, 99, 12345, 7]

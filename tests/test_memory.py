@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 
-from lrdetect import FgnParams, TimeSeries, read_series_csv, write_series_csv
+from lrdetect import FgnParams, StudyConfig, TimeSeries, read_series_csv, run_study, write_series_csv
 from lrdetect.fgn import _embedding_amplitudes, simulate_fgn_paths, uniform_draws
 from lrdetect.varplot import block_variance_rows
 
@@ -62,3 +62,17 @@ def test_series_csv_writer_holds_few_arrays(tmp_path):
 def test_series_csv_reader_holds_few_arrays(tmp_path):
     path = write_series_csv(TimeSeries(np.random.default_rng(2).standard_normal(N)), tmp_path / "series.csv")
     assert _peak_arrays(read_series_csv, path) <= 8
+
+
+def test_study_reports_retain_few_bytes_per_window():
+    # seven int64 count columns per window: 60 bytes measured (a MetricsReport per window: 167)
+    cfg = StudyConfig("fgn", (50, 100, 200, 500), 1, 0)
+    run_study(cfg)  # fills the embedding cache, as after a process's first study
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        reports = run_study(cfg)
+        retained = tracemalloc.get_traced_memory()[0] - live
+    finally:
+        tracemalloc.stop()
+    assert retained / len(reports) <= 72

@@ -13,6 +13,7 @@ from lrdetect import (
     GphConfig,
     MetricsReport,
     StudyConfig,
+    StudyReports,
     TimeSeries,
     VariancePlotConfig,
     default_gph_grid,
@@ -27,6 +28,7 @@ from lrdetect import (
     variance_plot_slope,
     write_study_outputs,
 )
+from lrdetect import oracles, study
 from lrdetect.excursion import MAX_PSI
 from lrdetect.gph import full_ordinates, gph_regressors
 from lrdetect.study import MAX_WORKERS, WindowGrid, _manifest_text, pool_size
@@ -321,6 +323,77 @@ def test_csv_round_trip(tmp_path):
             r.skips,
         )
         assert other.series_length == 80
+
+
+@pytest.mark.parametrize(
+    "cfg,nan_metrics",
+    [
+        (StudyConfig("fgn", (50, 100, 200, 500), 1, 3), True),
+        (
+            small_cfg(
+                lengths=(80, 60),
+                variance_cutoffs=((3, 9), (1, 20), (1, 4)),
+                gph_cutoffs=((20, 59), (1, 12), (1, 5)),
+            ),
+            False,
+        ),
+        (StudyConfig("fgn", (50,), 2, 7), True),
+        (small_cfg(hurst_grid=(0.2, 0.3, 0.45)), True),
+    ],
+    ids=["default grids", "unordered cutoffs", "n=50 skips", "no LRD truth"],
+)
+def test_written_csv_matches_report_rows(tmp_path, cfg, nan_metrics):
+    # n = 50's windows ending at block length 50 are all skips, so every metric is nan;
+    # with every H below 1/2 there are no positives, so sensitivity is nan
+    reports = run_study(cfg)
+    paths = write_study_outputs(cfg, reports, tmp_path)
+    texts = [path.read_bytes().decode() for path in paths[:-1]]
+    assert texts == [oracles.report_csv_text(reports, n) for n in cfg.lengths]
+    assert any(",nan" in text for text in texts) == nan_metrics
+
+
+def test_study_reports_is_a_sequence_of_reports():
+    cfg = StudyConfig("fgn", (60, 40), 2, 11, variance_cutoffs=((2, 9), (1, 4)), gph_cutoffs=((3, 30), (1, 12)))
+    reports = run_study(cfg)
+    # as run_study returned them when it built one MetricsReport per window
+    assert list(reports) == [
+        MetricsReport("variance", 2, 9, 60, tp=6, fp=1, tn=11, fn=6, skips=0),
+        MetricsReport("variance", 1, 4, 60, tp=7, fp=2, tn=10, fn=5, skips=0),
+        MetricsReport("gph", 3, 30, 60, tp=9, fp=6, tn=6, fn=3, skips=0),
+        MetricsReport("gph", 1, 12, 60, tp=6, fp=3, tn=9, fn=6, skips=0),
+        MetricsReport("variance", 2, 9, 40, tp=3, fp=1, tn=11, fn=9, skips=0),
+        MetricsReport("variance", 1, 4, 40, tp=6, fp=1, tn=11, fn=6, skips=0),
+        MetricsReport("gph", 3, 30, 40, tp=7, fp=4, tn=8, fn=5, skips=0),
+        MetricsReport("gph", 1, 12, 40, tp=7, fp=2, tn=10, fn=5, skips=0),
+    ]
+    assert isinstance(reports, StudyReports) and len(reports) == 8
+    assert reports[0] == reports[-8] == MetricsReport("variance", 2, 9, 60, 6, 1, 11, 6, 0)
+    assert reports[-1] == reports[7] == MetricsReport("gph", 1, 12, 40, 7, 2, 10, 5, 0)
+    assert reports[4] == list(reports)[4]
+    for index in (8, -9):
+        with pytest.raises(IndexError):
+            reports[index]
+    with pytest.raises(TypeError):
+        hash(reports)
+    assert reports == run_study(cfg)
+    assert reports != run_study(StudyConfig(**{**vars(cfg), "master_seed": 12}))
+    assert reports != list(reports)
+
+
+def test_study_builds_no_report_objects(tmp_path, monkeypatch):
+    built = []
+
+    class CountingReport(MetricsReport):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(study, "MetricsReport", CountingReport)
+    cfg = StudyConfig("fgn", (50, 100), 1, 4)
+    reports = run_study(cfg)
+    write_study_outputs(cfg, reports, tmp_path)
+    assert built == []
+    assert len(list(reports)) == len(built) == len(reports)
 
 
 @pytest.mark.parametrize(
