@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, LrdetectError
-from .excursion import draw_levels, resolve_quantiles, transform_series
+from .excursion import MAX_PSI, QuantileMeasure, draw_levels, resolve_quantiles, transform_series
 from .fgn import FgnParams, SubordinationParams, simulate_fgn, subordinate
 from .gph import GphConfig, classify_lrd_gph, gph_estimate
 from .series import read_series_csv, write_series_csv
@@ -55,9 +55,10 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _estimate_config(args) -> VariancePlotConfig | GphConfig:
-    """The window from the flags of the estimator's one window form.  A flag the
-    estimate would ignore is an error, raised before the series is read."""
+def _estimate_config(args) -> tuple[VariancePlotConfig | GphConfig, QuantileMeasure | None]:
+    """The window from the flags of the estimator's one window form, and the
+    quantile levels when the series is to be transformed.  A flag the estimate
+    would ignore, or one out of range, is an error raised before the series is read."""
     scaled = args.delta is not None or args.m is not None
     names = ("trim", "bandwidth") if args.estimator == "gph" else ("delta", "m") if scaled else ("n1", "n2")
     given = {name for name in ("n1", "n2", "delta", "m", "trim", "bandwidth") if getattr(args, name) is not None}
@@ -69,17 +70,24 @@ def _estimate_config(args) -> VariancePlotConfig | GphConfig:
         raise ConfigError(f"{args.estimator} estimator needs {reads}")
     if (args.quantile_transform is None) != (args.level_seed is None):
         raise ConfigError("give --quantile-transform and --level-seed together or neither")
+    levels = None
+    if args.quantile_transform is not None:
+        if not 1 <= args.quantile_transform <= MAX_PSI:
+            raise ConfigError(f"--quantile-transform: psi must lie in [1, {MAX_PSI}], got {args.quantile_transform}")
+        try:
+            levels = draw_levels(args.quantile_transform, args.level_seed)
+        except ValueError as exc:  # the level seed lies outside [0, 2**64)
+            raise ConfigError(f"--level-seed: {exc}") from None
     window = {name: getattr(args, name) for name in names}
-    return GphConfig(**window) if args.estimator == "gph" else VariancePlotConfig(**window)
+    return (GphConfig(**window) if args.estimator == "gph" else VariancePlotConfig(**window)), levels
 
 
 def _cmd_estimate(args) -> int:
-    config = _estimate_config(args)
+    config, levels = _estimate_config(args)
     series = read_series_csv(args.input)
     # the window printed, and checked against the series before any transform
     low, high = config.resolve(series.n)
-    if args.quantile_transform is not None:
-        levels = draw_levels(args.quantile_transform, args.level_seed)
+    if levels is not None:
         series = transform_series(series, resolve_quantiles(series, levels))
     if isinstance(config, VariancePlotConfig):
         fit = variance_plot_slope(series, VariancePlotConfig(n1=low, n2=high))
@@ -167,6 +175,8 @@ def _format_percent(value: float) -> str:
 
 
 def _cmd_rank(args) -> int:
+    if args.k < 1:
+        raise ConfigError(f"-k must be >= 1, got {args.k}")
     reports = []
     for path in args.results:
         reports.extend(read_report_csv(path))

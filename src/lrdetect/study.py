@@ -8,7 +8,6 @@ the resolved configuration is deterministic, including across worker counts.
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import csv
 import itertools
@@ -17,7 +16,7 @@ import math
 import numbers
 import operator
 import os
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -63,6 +62,10 @@ CSV_COLUMNS = (
 _CSV_ROW = "%s,%d,%d,%d,%d,%d,%d,%d,%.6f,%.6f,%.6f\r\n"
 # One window of a manifest grid as json.dumps(..., indent=2) prints it.
 _MANIFEST_PAIR = "      [\n        %d,\n        %d\n      ]"
+# Where a cell's [non-LRD, LRD, skip] label counts add in a report block (rows
+# n1, n2, tp, fp, tn, fn, skips), by the truth of its Hurst value: a non-LRD
+# series labelled non-LRD is a tn and labelled LRD an fp; an LRD one, fn and tp.
+_ROWS_BY_TRUTH = ([4, 3, 6], [5, 2, 6])
 
 
 def ground_truth_label(scenario: str, hurst: float) -> str:
@@ -302,17 +305,6 @@ class StudyConfig:
             np.asarray(gph, dtype=np.int64).reshape(-1, 2),
         )
 
-    def manifest_dict(self) -> dict:
-        """Every field, with the grids and the level seed as resolved for this run."""
-        grids = {str(n): self.grids_for(n) for n in self.lengths}
-        return {
-            **{f.name: getattr(self, f.name) for f in fields(self)},
-            "hurst_grid": [float(h) for h in self.resolved_hurst_grid()],
-            "level_seed": self.resolved_level_seed(),
-            "variance_cutoffs": {n: var.tolist() for n, (var, _) in grids.items()},
-            "gph_cutoffs": {n: gph.tolist() for n, (_, gph) in grids.items()},
-        }
-
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -347,9 +339,9 @@ class MetricsReport:
         return self.tn / negatives if negatives else math.nan
 
 
-class StudyReports(Sequence):
-    """The reports of one study as count columns: a ``Sequence`` of
-    ``MetricsReport`` that builds each report only when it is read.
+class StudyReports:
+    """The reports of one study as count columns, iterated as ``MetricsReport``
+    objects that are built only when they are read.
 
     ``blocks`` holds one (estimator, series length, counts) triple per length
     and estimator, in report order: length by length as configured, the
@@ -363,21 +355,9 @@ class StudyReports(Sequence):
         self.blocks = tuple(blocks)
         for _, _, counts in self.blocks:
             counts.setflags(write=False)
-        self._ends = list(itertools.accumulate(counts.shape[1] for _, _, counts in self.blocks))
 
     def __len__(self) -> int:
-        return self._ends[-1] if self._ends else 0
-
-    def __getitem__(self, index: int) -> MetricsReport:
-        index = operator.index(index)
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError("report index out of range")
-        at = bisect.bisect_right(self._ends, index)
-        estimator, n, counts = self.blocks[at]
-        n1, n2, *tally = counts[:, index - (self._ends[at - 1] if at else 0)].tolist()
-        return MetricsReport(estimator, n1, n2, n, *tally)
+        return sum(counts.shape[1] for _, _, counts in self.blocks)
 
     def __iter__(self):
         for estimator, n, counts in self.blocks:
@@ -399,14 +379,15 @@ def pool_size(workers: int, cells: int) -> int:
 
 
 def _tally(grid: WindowGrid, logs: np.ndarray, threshold: float) -> np.ndarray:
-    """Per window, how many rows are labelled [non-LRD, LRD, skip]; LRD iff slope > threshold."""
-    counts = np.zeros((grid.size, 3), dtype=np.int64)
+    """Three rows, how many series each window labels non-LRD, LRD and skip;
+    LRD iff slope > threshold."""
+    counts = np.zeros((3, grid.size), dtype=np.int64)
     for cols, slopes, flags in grid.slope_blocks(logs):
         # int32 holds the count: a cell has at most _CHUNK // 8 rows
-        counts[cols, 1] = np.add.reduce(np.greater(slopes, threshold).view(np.uint8), axis=0, dtype=np.int32)
+        counts[1, cols] = np.add.reduce(np.greater(slopes, threshold).view(np.uint8), axis=0, dtype=np.int32)
         if flags is not None:
-            counts[cols, 2] = np.count_nonzero(flags, axis=0)
-    counts[:, 0] = logs.shape[0] - counts[:, 1] - counts[:, 2]
+            counts[2, cols] = np.count_nonzero(flags, axis=0)
+    counts[0] = logs.shape[0] - counts[1] - counts[2]
     return counts
 
 
@@ -486,9 +467,9 @@ def run_study(cfg: StudyConfig) -> StudyReports:
             for h_index in range(len(hurst_grid))
             for first in range(0, cfg.replications, rows)
         ]
-    # counts[n][estimator][window, truth, label]
-    counts = {
-        n: tuple(np.zeros((grid.shape[0], 2, 3), dtype=np.int64) for grid in grids[n])
+    # per length, one report block per estimator: rows n1 and n2 from its grid, then zero counts
+    blocks = {
+        n: tuple(np.vstack([grid.T, np.zeros((5, len(grid)), dtype=np.int64)]) for grid in grids[n])
         for n in cfg.lengths
     }
     evaluate = _CellRunner(cfg, levels, grids)
@@ -506,23 +487,10 @@ def run_study(cfg: StudyConfig) -> StudyReports:
         else:
             results = pool.map(evaluate, cells, chunksize=max(1, len(cells) // (size * 4)))
         for (n, h_index, _, _), cell_counts in zip(cells, results):
-            for total, part in zip(counts[n], cell_counts):
-                total[:, truths[h_index]] += part
-
-    blocks = []
-    for n in cfg.lengths:
-        for estimator, grid, tally in zip(ESTIMATORS, grids[n], counts[n]):
-            columns = (
-                grid[:, 0],
-                grid[:, 1],
-                tally[:, 1, 1],  # tp
-                tally[:, 0, 1],  # fp
-                tally[:, 0, 0],  # tn
-                tally[:, 1, 0],  # fn
-                tally[:, :, 2].sum(axis=1),  # skips
-            )
-            blocks.append((estimator, n, np.stack(columns)))
-    return StudyReports(blocks)
+            rows = _ROWS_BY_TRUTH[truths[h_index]]
+            for block, part in zip(blocks[n], cell_counts):
+                block[rows] += part
+    return StudyReports((estimator, n, block) for n in cfg.lengths for estimator, block in zip(ESTIMATORS, blocks[n]))
 
 
 def rank_cutoffs(reports: list[MetricsReport], k: int) -> list[MetricsReport]:
@@ -547,10 +515,12 @@ def rank_cutoffs(reports: list[MetricsReport], k: int) -> list[MetricsReport]:
 def write_study_outputs(cfg: StudyConfig, reports: StudyReports, out_dir) -> list[Path]:
     """One metrics CSV per series length plus a JSON manifest of the resolved config.
 
-    Each CSV is formatted straight from the count columns of ``reports``, the
-    table ``run_study`` returns: rows sorted by (estimator, n1, n2), and the
-    metrics computed here as true divisions of the counts, nan where the
-    denominator is 0, as ``MetricsReport`` computes them.
+    Every file is formatted straight from the count columns of ``reports``, the
+    table ``run_study`` returns.  A CSV's rows are sorted by (estimator, n1, n2),
+    with the metrics computed here as true divisions of the counts, nan where
+    the denominator is 0, as ``MetricsReport`` computes them.  The manifest's
+    window grids are the n1 and n2 rows of the blocks, so no grid is resolved
+    again.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -570,25 +540,31 @@ def write_study_outputs(cfg: StudyConfig, reports: StudyReports, out_dir) -> lis
         path.write_text(",".join(CSV_COLUMNS) + "\r\n" + "".join(rows), newline="")
         written.append(path)
     manifest = out_dir / f"manifest_{cfg.scenario}.json"
-    manifest.write_text(_manifest_text(cfg) + "\n")
+    manifest.write_text(_manifest_text(cfg, reports) + "\n")
     written.append(manifest)
     return written
 
 
-def _manifest_text(cfg: StudyConfig) -> str:
-    """``json.dumps(cfg.manifest_dict(), sort_keys=True, indent=2)``, with every
-    nonempty window grid printed from a per-pair template, not by the encoder."""
-    manifest = cfg.manifest_dict()
+def _manifest_text(cfg: StudyConfig, reports: StudyReports) -> str:
+    """The resolved config as ``json.dumps(..., sort_keys=True, indent=2)`` prints
+    it: every field, with the Hurst grid and the level seed resolved and each
+    window grid read from the n1 and n2 rows of its block, printed from a
+    per-pair template, not by the encoder."""
+    manifest = {
+        **{f.name: getattr(cfg, f.name) for f in fields(cfg)},
+        "hurst_grid": [float(h) for h in cfg.resolved_hurst_grid()],
+        "level_seed": cfg.resolved_level_seed(),
+        "variance_cutoffs": {},
+        "gph_cutoffs": {},
+    }
     grids = {}
-    for key in ("variance_cutoffs", "gph_cutoffs"):
-        for n, grid in manifest[key].items():
-            if grid:
-                token = f"\0{key} {n}"  # no scenario name holds a NUL
-                grids[json.dumps(token)] = grid
-                manifest[key][n] = token
+    for estimator, n, counts in reports.blocks:
+        token = f"\0{estimator} {n}"  # no scenario name holds a NUL
+        manifest[f"{estimator}_cutoffs"][str(n)] = token
+        grids[json.dumps(token)] = counts[:2].T.ravel().tolist()  # n1, n2 of each window in turn
     text = json.dumps(manifest, sort_keys=True, indent=2)
-    for token, grid in grids.items():
-        body = ",\n".join([_MANIFEST_PAIR] * len(grid)) % tuple(itertools.chain.from_iterable(grid))
+    for token, pairs in grids.items():
+        body = ",\n".join([_MANIFEST_PAIR] * (len(pairs) // 2)) % tuple(pairs)
         text = text.replace(token, f"[\n{body}\n    ]")
     return text
 

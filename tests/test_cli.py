@@ -420,6 +420,25 @@ def test_estimate_rejects_bad_quantile_transform(tmp_path, capsys, psi, seed, me
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize(
+    "psi,seed,flag",
+    [("0", "1", "--quantile-transform"), (str(10**9), "1", "--quantile-transform"), ("10", "-1", "--level-seed")],
+)
+def test_estimate_checks_level_flags_before_reading_the_series(tmp_path, capsys, psi, seed, flag):
+    missing = tmp_path / "missing.csv"
+    argv = ["estimate", str(missing), "--estimator", "variance", "--n1", "1", "--n2", "4"]
+    assert main([*argv, "--quantile-transform", psi, "--level-seed", seed]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag}: ") and str(missing) not in captured.err
+
+
+def test_rank_checks_k_before_opening_a_file(tmp_path, capsys):
+    missing = tmp_path / "results_fgn_n50.csv"
+    assert main(["rank", str(missing), "-k", "0"]) == 1
+    assert capsys.readouterr().err == "error: -k must be >= 1, got 0\n"
+
+
 def test_estimate_checks_gph_bandwidth_before_the_periodogram(tmp_path, capsys, monkeypatch):
     def no_periodogram(values):
         raise AssertionError("the periodogram was computed")

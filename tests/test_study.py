@@ -31,7 +31,7 @@ from lrdetect import (
 from lrdetect import oracles, study
 from lrdetect.excursion import MAX_PSI
 from lrdetect.gph import full_ordinates, gph_regressors
-from lrdetect.study import MAX_WORKERS, WindowGrid, _manifest_text, pool_size
+from lrdetect.study import MAX_WORKERS, WindowGrid, pool_size
 from lrdetect.varplot import block_mean_variances
 
 
@@ -352,7 +352,7 @@ def test_written_csv_matches_report_rows(tmp_path, cfg, nan_metrics):
     assert any(",nan" in text for text in texts) == nan_metrics
 
 
-def test_study_reports_is_a_sequence_of_reports():
+def test_study_reports_iterates_reports():
     cfg = StudyConfig("fgn", (60, 40), 2, 11, variance_cutoffs=((2, 9), (1, 4)), gph_cutoffs=((3, 30), (1, 12)))
     reports = run_study(cfg)
     # as run_study returned them when it built one MetricsReport per window
@@ -367,12 +367,6 @@ def test_study_reports_is_a_sequence_of_reports():
         MetricsReport("gph", 1, 12, 40, tp=7, fp=2, tn=10, fn=5, skips=0),
     ]
     assert isinstance(reports, StudyReports) and len(reports) == 8
-    assert reports[0] == reports[-8] == MetricsReport("variance", 2, 9, 60, 6, 1, 11, 6, 0)
-    assert reports[-1] == reports[7] == MetricsReport("gph", 1, 12, 40, 7, 2, 10, 5, 0)
-    assert reports[4] == list(reports)[4]
-    for index in (8, -9):
-        with pytest.raises(IndexError):
-            reports[index]
     with pytest.raises(TypeError):
         hash(reports)
     assert reports == run_study(cfg)
@@ -402,12 +396,33 @@ def test_study_builds_no_report_objects(tmp_path, monkeypatch):
         dict(scenario="subordinated-fgn", lengths=(4, 50, 100, 500), variance_cutoffs=None, gph_cutoffs=None),
         dict(lengths=(80, 200)),
         dict(variance_cutoffs=((2, 9),), gph_cutoffs=((3, 40),)),
+        dict(lengths=(50, 130), variance_cutoffs=None, gph_cutoffs=None, workers=2),
     ],
-    ids=["default grids", "explicit grids", "one-window grids"],
+    ids=["default grids", "explicit grids", "one-window grids", "2 workers"],
 )
-def test_manifest_text_is_the_json_encoders(overrides):
+def test_manifest_text_is_the_json_encoders(tmp_path, overrides):
+    # the writer reads the grids from the report table; the reference resolves them from the config
     cfg = small_cfg(**overrides)
-    assert _manifest_text(cfg) == json.dumps(cfg.manifest_dict(), sort_keys=True, indent=2)
+    manifest = write_study_outputs(cfg, run_study(cfg), tmp_path)[-1]
+    assert manifest.read_text() == json.dumps(oracles.manifest_dict(cfg), sort_keys=True, indent=2) + "\n"
+
+
+def test_writer_resolves_no_grid(tmp_path, monkeypatch):
+    cfg = small_cfg(scenario="subordinated-fgn", lengths=(50, 80), variance_cutoffs=None)
+    reports = run_study(cfg)
+
+    def no_grid(*args):
+        raise AssertionError("a window grid was resolved")
+
+    monkeypatch.setattr(StudyConfig, "grids_for", no_grid)
+    monkeypatch.setattr(study, "default_variance_grid", no_grid)
+    monkeypatch.setattr(study, "default_gph_grid", no_grid)
+    paths = write_study_outputs(cfg, reports, tmp_path)
+    assert [path.name for path in paths] == [
+        "results_subordinated-fgn_n50.csv",
+        "results_subordinated-fgn_n80.csv",
+        "manifest_subordinated-fgn.json",
+    ]
 
 
 def test_read_report_csv_needs_length_in_name(tmp_path):
