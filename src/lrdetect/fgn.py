@@ -24,6 +24,10 @@ _SERIES_LAG = 16
 # Draws per block: raw words and the inverse CDF's temporaries stay this small.
 _CHUNK = 1 << 16
 
+# Longest path simulated: one series of this length and its estimates take
+# about 1 GB, since memory grows linearly with the length.
+MAX_LENGTH = 10**7
+
 # The largest double below 1: k = 2**53 - 1 makes (k + 1/2) / 2**53 round to 1.
 _MAX_UNIFORM = 1.0 - 2.0**-53
 
@@ -108,10 +112,10 @@ class FgnParams:
     def __post_init__(self):
         if not 0.0 < self.hurst < 1.0:
             raise ValueError(f"hurst must lie in (0, 1), got {self.hurst}")
-        if self.n < 1:
-            raise ValueError(f"length must be >= 1, got {self.n}")
-        if not self.sigma2 > 0.0:
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
+        if not 1 <= self.n <= MAX_LENGTH:
+            raise ValueError(f"length must lie in [1, {MAX_LENGTH}], got {self.n}")
+        if not 0.0 < self.sigma2 < math.inf:
+            raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
 
 
 @dataclass(frozen=True)
@@ -287,20 +291,23 @@ def _embedding_amplitudes(params: FgnParams) -> np.ndarray:
     lambda_(m-k) = lambda_k: lambda_0..lambda_(n-1) are the DCT-I of
     gamma(0..n-1), taken as numpy's real FFT of the row (``scipy.fft.dct``
     left about 16 MB resident after the call at n = 10^6).  They are
-    nonnegative in exact arithmetic for every H in (0, 1).
+    nonnegative in exact arithmetic for every H in (0, 1).  A sigma2 so large
+    that they overflow is an OverflowValue.
     """
     n = params.n
-    gamma = _autocovariance_vector(params, np.arange(n))
-    row = np.concatenate([gamma, gamma[n - 2 : 0 : -1]])
-    del gamma
-    spectrum = np.fft.rfft(row)
-    del row
-    eigenvalues = spectrum.real
-    if eigenvalues.min() < -_EIGENVALUE_TOL * eigenvalues.max():
-        raise EmbeddingFailure(
-            f"circulant eigenvalue {eigenvalues.min():.3e} below tolerance "
-            f"for H={params.hurst}, n={n}"
-        )
+    # an overflowing covariance or eigenvalue is caught below, by the extremes
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma = _autocovariance_vector(params, np.arange(n))
+        row = np.concatenate([gamma, gamma[n - 2 : 0 : -1]])
+        del gamma
+        spectrum = np.fft.rfft(row)
+        del row
+        eigenvalues = spectrum.real
+        low, high = eigenvalues.min(), eigenvalues.max()  # nan propagates through both
+    if not math.isfinite(low) or not math.isfinite(high):
+        raise OverflowValue(f"circulant eigenvalues overflow for sigma2={params.sigma2}, n={n}")
+    if low < -_EIGENVALUE_TOL * high:
+        raise EmbeddingFailure(f"circulant eigenvalue {low:.3e} below tolerance for H={params.hurst}, n={n}")
     amplitudes = np.clip(eigenvalues, 0.0, None)  # contiguous, so the cache holds n values
     del spectrum, eigenvalues
     np.sqrt(amplitudes, out=amplitudes)

@@ -8,7 +8,6 @@ the resolved configuration is deterministic, including across worker counts.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import itertools
 import json
@@ -25,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, WindowExceedsSeries
 from .excursion import MAX_PSI, QuantileMeasure, draw_levels, excursion_rows
-from .fgn import FgnParams, simulate_fgn_paths
+from .fgn import MAX_LENGTH, FgnParams, simulate_fgn_paths
 from .gph import GPH_LRD_THRESHOLD, GphConfig, gph_regressors, ordinate_rows
 from .series import WindowGrid
 from .varplot import VARIANCE_LRD_THRESHOLD, VariancePlotConfig, block_variance_rows
@@ -252,8 +251,8 @@ class StudyConfig:
     def validate(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
-        if not self.lengths or any(n < 4 for n in self.lengths):
-            raise ConfigError("lengths must be a nonempty list of integers >= 4")
+        if not self.lengths or any(not 4 <= n <= MAX_LENGTH for n in self.lengths):
+            raise ConfigError(f"lengths must be a nonempty list of integers in [4, {MAX_LENGTH}]")
         # a repeated length or window would count its series or write its row twice
         _no_repeats("lengths", self.lengths)
         if self.replications < 1:
@@ -373,9 +372,10 @@ class StudyReports:
         )
 
 
-def pool_size(workers: int, cells: int) -> int:
-    """Processes for a study pool: no more than asked for, than CPUs, or than cells."""
-    return max(1, min(workers, os.cpu_count() or 1, cells))
+def pool_size(workers: int, jobs: int) -> int:
+    """Processes for a study pool: no more than asked for, than CPUs, or than
+    ``jobs``, the (length, Hurst value) pairs the study's tasks split into."""
+    return max(1, min(workers, os.cpu_count() or 1, jobs))
 
 
 def _tally(grid: WindowGrid, logs: np.ndarray, threshold: float) -> np.ndarray:
@@ -391,105 +391,83 @@ def _tally(grid: WindowGrid, logs: np.ndarray, threshold: float) -> np.ndarray:
     return counts
 
 
-class _CellRunner:
-    """Label counts of both estimators over one cell: replications first..stop-1
-    of one Hurst value at length n, simulated and classified as one batch.
+def _count_cells(cfg: StudyConfig, levels: QuantileMeasure | None, task) -> tuple[np.ndarray, np.ndarray]:
+    """The variance and GPH report blocks of one task, rows n1 and n2 from the
+    length's grids, then the label counts of every replication of the Hurst
+    values ``h_indices`` at length n.
 
     A length's variance windows regress log S_l^2 on log l over block lengths
     lmin..lmax, and its GPH windows regress log I(lambda_j) on -2 log lambda_j
-    over frequency indices 1..n-1.  Cells arrive grouped by length, so a
-    length's two WindowGrids are built when its first cell runs and dropped
-    before the next length's are built.  A pickled runner, as pool workers
-    receive it, carries no grids: each worker builds those of the cells it
-    receives.
+    over frequency indices 1..n-1.  The task builds the two WindowGrids once
+    and frees them when it returns.  Its replications run in cells of at most
+    ``_CHUNK // 2n`` rows of one Hurst value, each simulated and classified as
+    one batch.
     """
-
-    def __init__(self, cfg: StudyConfig, levels: QuantileMeasure | None, grids: dict):
-        self.cfg = cfg
-        self.levels = levels
-        self.grids = grids
-        self._kernel = None  # (n, variance WindowGrid, GPH WindowGrid) of the running length
-
-    def __getstate__(self):
-        return {**self.__dict__, "_kernel": None}
-
-    def __call__(self, cell: tuple[int, int, int, int]) -> tuple[np.ndarray, np.ndarray]:
-        n, h_index, first, stop = cell
-        var_grid, gph_grid = self.grids[n]
-        lmin, lmax = int(var_grid[:, 0].min()), int(var_grid[:, 1].max())
-        if self._kernel is None or self._kernel[0] != n:
-            self._kernel = None  # free the last length's blocks before building the next
-            block_lengths = np.arange(lmin, lmax + 1, dtype=np.float64)
-            self._kernel = (
-                n,
-                WindowGrid(np.log(block_lengths), var_grid - lmin),
-                WindowGrid(gph_regressors(np.arange(1, n), n), gph_grid - 1),
-            )
-        _, variance, gph = self._kernel
-        cfg = self.cfg
-        seeds = _seed_hash(cfg.master_seed, _SCENARIO_CODE[cfg.scenario], h_index, np.arange(first, stop))
-        rows = simulate_fgn_paths(FgnParams(hurst=cfg.resolved_hurst_grid()[h_index], n=n), seeds)
-        if self.levels is not None:
-            # exp(y^2 / (2 alpha)) rises strictly with y^2 and the transform is invariant
-            # under strictly increasing maps, so y^2 gives every alpha's labels without overflow
-            rows = excursion_rows(rows * rows, self.levels)
-        # zero block variances and ordinates become -inf: their windows are skips
-        with np.errstate(divide="ignore"):
-            var_logs = np.log(block_variance_rows(rows, lmin, lmax))
-            gph_logs = np.log(ordinate_rows(rows)[:, 1:])
-        return (
-            _tally(variance, var_logs, VARIANCE_LRD_THRESHOLD),
-            _tally(gph, gph_logs, GPH_LRD_THRESHOLD),
-        )
+    n, var_grid, gph_grid, h_indices = task
+    lmin, lmax = int(var_grid[:, 0].min()), int(var_grid[:, 1].max())
+    variance = WindowGrid(np.log(np.arange(lmin, lmax + 1, dtype=np.float64)), var_grid - lmin)
+    gph = WindowGrid(gph_regressors(np.arange(1, n), n), gph_grid - 1)
+    blocks = tuple(np.vstack([grid.T, np.zeros((5, len(grid)), dtype=np.int64)]) for grid in (var_grid, gph_grid))
+    hurst_grid = cfg.resolved_hurst_grid()
+    step = max(1, _CHUNK // (2 * n))
+    for h_index in h_indices:
+        hurst = hurst_grid[h_index]
+        rows_by_label = _ROWS_BY_TRUTH[ground_truth_label(cfg.scenario, hurst) == "LRD"]
+        for first in range(0, cfg.replications, step):
+            stop = min(first + step, cfg.replications)
+            seeds = _seed_hash(cfg.master_seed, _SCENARIO_CODE[cfg.scenario], h_index, np.arange(first, stop))
+            rows = simulate_fgn_paths(FgnParams(hurst=hurst, n=n), seeds)
+            if levels is not None:
+                # exp(y^2 / (2 alpha)) rises strictly with y^2 and the transform is invariant
+                # under strictly increasing maps, so y^2 gives every alpha's labels without overflow
+                rows = excursion_rows(rows * rows, levels)
+            # zero block variances and ordinates become -inf: their windows are skips
+            with np.errstate(divide="ignore"):
+                var_logs = np.log(block_variance_rows(rows, lmin, lmax))
+                gph_logs = np.log(ordinate_rows(rows)[:, 1:])
+            blocks[0][rows_by_label] += _tally(variance, var_logs, VARIANCE_LRD_THRESHOLD)
+            blocks[1][rows_by_label] += _tally(gph, gph_logs, GPH_LRD_THRESHOLD)
+            del rows, var_logs, gph_logs  # freed before the next cell simulates
+    return blocks
 
 
 def run_study(cfg: StudyConfig) -> StudyReports:
     """Run the full grid and return one report per (estimator, cutoff, length),
     as the count columns of a ``StudyReports`` table; no report object is built.
 
-    The work splits into cells of one length, one Hurst value and a chunk of
-    at most ``_CHUNK // 2n`` replications.  With ``cfg.workers > 1`` cells are
-    spread over a process pool; their integer label counts are summed, so
-    output is identical for every worker count.
+    The work splits into tasks of one length each, and with ``cfg.workers > 1``
+    a length's Hurst values are dealt round-robin to as many tasks as the
+    process pool has processes.  Each task returns its length's report blocks,
+    whose integer label counts are summed, so output is identical for every
+    worker count.
     """
     cfg.validate()
-    hurst_grid = cfg.resolved_hurst_grid()
     levels = None
     if cfg.scenario == "subordinated-fgn":
         levels = draw_levels(cfg.psi, cfg.resolved_level_seed())
-    truths = [int(ground_truth_label(cfg.scenario, h) == "LRD") for h in hurst_grid]
+    hurst_count = len(cfg.resolved_hurst_grid())
     grids = {n: cfg.grids_for(n) for n in cfg.lengths}
-    cells = []
-    for n in cfg.lengths:
-        rows = max(1, _CHUNK // (2 * n))
-        cells += [
-            (n, h_index, first, min(first + rows, cfg.replications))
-            for h_index in range(len(hurst_grid))
-            for first in range(0, cfg.replications, rows)
-        ]
-    # per length, one report block per estimator: rows n1 and n2 from its grid, then zero counts
-    blocks = {
-        n: tuple(np.vstack([grid.T, np.zeros((5, len(grid)), dtype=np.int64)]) for grid in grids[n])
-        for n in cfg.lengths
-    }
-    evaluate = _CellRunner(cfg, levels, grids)
-    size = pool_size(cfg.workers, len(cells))
-    if size > 1:
+    size = pool_size(cfg.workers, len(cfg.lengths) * hurst_count)
+    # every Hurst value has the same cells, so dealing them out balances the tasks
+    tasks = [
+        (n, *grids[n], range(part, hurst_count, size)) for n in cfg.lengths for part in range(min(size, hurst_count))
+    ]
+    count = partial(_count_cells, cfg, levels)
+    if size == 1:
+        counted = map(count, tasks)
+    else:
         # imported only here: loading multiprocessing costs ~20 ms of every import
         from concurrent.futures import ProcessPoolExecutor
 
-        context = ProcessPoolExecutor(max_workers=size)
-    else:
-        context = contextlib.nullcontext()
-    with context as pool:
-        if pool is None:
-            results = map(evaluate, cells)
+        with ProcessPoolExecutor(max_workers=size) as pool:
+            counted = list(pool.map(count, tasks))
+    blocks = {}  # per length, the first task's report blocks, to which the other tasks' counts add
+    for (n, *_), task_blocks in zip(tasks, counted):
+        if n in blocks:
+            for block, part in zip(blocks[n], task_blocks):
+                block[2:] += part[2:]
         else:
-            results = pool.map(evaluate, cells, chunksize=max(1, len(cells) // (size * 4)))
-        for (n, h_index, _, _), cell_counts in zip(cells, results):
-            rows = _ROWS_BY_TRUTH[truths[h_index]]
-            for block, part in zip(blocks[n], cell_counts):
-                block[rows] += part
+            blocks[n] = task_blocks
     return StudyReports((estimator, n, block) for n in cfg.lengths for estimator, block in zip(ESTIMATORS, blocks[n]))
 
 

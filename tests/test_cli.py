@@ -73,6 +73,26 @@ def test_simulate_rejects_bad_alpha_before_writing(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("flag,value", [("--sigma2", "inf"), ("--sigma2", "nan"), ("--length", "10000000000000")])
+def test_simulate_rejects_infinite_variance_and_overlong_paths_before_writing(tmp_path, capsys, flag, value):
+    out_dir = tmp_path / "out"
+    argv = ["simulate", "--scenario", "fgn", "--hurst", "0.7", "--length", "200", "--seed", "1"]
+    assert main([*argv, "--out-dir", str(out_dir), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag.lstrip("-") in err and "Traceback" not in err
+    assert not out_dir.exists()
+
+
+def test_simulate_names_an_overflowing_sigma2_without_warnings(tmp_path, capsys):
+    argv = ["simulate", "--scenario", "fgn", "--hurst", "0.7", "--length", "200", "--seed", "1"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, "--sigma2", "1e308", "--out-dir", str(tmp_path / "out")]) == 1
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "sigma2=1e+308" in err and "n=200" in err
+
+
 def test_estimate_ignores_json_next_to_csv(tmp_path, capsys):
     series = tmp_path / "x.csv"
     series.write_text("value\n" + "".join(f"{v % 7}\n" for v in range(40)))

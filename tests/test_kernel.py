@@ -1,6 +1,5 @@
 """The study's batched kernel: exact window slopes and row functions that match the per-series ones."""
 
-import pickle
 import weakref
 
 import numpy as np
@@ -224,12 +223,3 @@ def test_length_kernels_are_built_once_per_length_and_freed(monkeypatch):
     assert [size for size, _ in built] == [50, 49, 60, 89, 60, 59]
     assert all(ref() is None for _, ref in built)
 
-
-def test_pickled_cell_runner_carries_no_kernel():
-    cfg = StudyConfig("fgn", (50,), 2, 3)
-    runner = study._CellRunner(cfg, None, {50: cfg.grids_for(50)})
-    counts = runner((50, 0, 0, 2))
-    assert runner._kernel is not None
-    copy = pickle.loads(pickle.dumps(runner))
-    assert copy._kernel is None
-    assert all(np.array_equal(a, b) for a, b in zip(copy((50, 0, 0, 2)), counts))

@@ -30,6 +30,7 @@ from lrdetect import (
 )
 from lrdetect import oracles, study
 from lrdetect.excursion import MAX_PSI
+from lrdetect.fgn import MAX_LENGTH
 from lrdetect.gph import full_ordinates, gph_regressors
 from lrdetect.study import MAX_WORKERS, WindowGrid, pool_size
 from lrdetect.varplot import block_mean_variances
@@ -226,6 +227,48 @@ def test_psi_has_a_ceiling():
     small_cfg(psi=MAX_PSI).validate()
     with pytest.raises(ConfigError, match="psi"):
         small_cfg(psi=MAX_PSI + 1).validate()
+
+
+def test_length_has_a_ceiling_checked_before_any_compute(monkeypatch):
+    small_cfg(lengths=(80, MAX_LENGTH)).validate()
+
+    def no_compute(*args):
+        raise AssertionError("a series was simulated")
+
+    monkeypatch.setattr(study, "simulate_fgn_paths", no_compute)
+    # the shorter length comes first, yet nothing runs before the long one is refused
+    cfg = small_cfg(lengths=(50, 10**13), variance_cutoffs=None, gph_cutoffs=None)
+    with pytest.raises(ConfigError, match=rf"lengths .*\[4, {MAX_LENGTH}\]"):
+        run_study(cfg)
+
+
+# Runs a 2-worker study in a pool of the start method given as argv[1]; spawn
+# and forkserver re-import this script in every worker, hence the guard.
+_START_METHOD_SCRIPT = """
+import dataclasses, multiprocessing, os, sys
+
+from lrdetect import StudyConfig, run_study
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    os.cpu_count = lambda: 2  # the pool starts even on one CPU
+    cfg = StudyConfig("fgn", (50, 130), 3, 4, workers=2)
+    print(multiprocessing.get_start_method(), run_study(cfg) == run_study(dataclasses.replace(cfg, workers=1)))
+"""
+
+
+@pytest.mark.parametrize("method", ["forkserver", "spawn"])
+def test_pool_matches_one_worker_under_start_method(tmp_path, method):
+    # what crosses to a worker must pickle by reference: a spawned worker shares no memory
+    import lrdetect
+
+    script = tmp_path / "pool_study.py"
+    script.write_text(_START_METHOD_SCRIPT)
+    src = str(Path(lrdetect.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, str(script), method], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [method, "True"]
 
 
 def test_pool_size_is_bounded_by_cpus_and_cells(monkeypatch):
