@@ -16,6 +16,7 @@ from .gph import GphConfig, classify_lrd_gph, gph_estimate
 from .series import read_series_csv, write_series_csv
 from .study import (
     StudyConfig,
+    StudyReports,
     rank_cutoffs,
     read_report_csv,
     replication_seed,
@@ -42,12 +43,12 @@ def _cmd_simulate(args) -> int:
         subordination = SubordinationParams(args.alpha)
         record["alpha"] = subordination.alpha
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for rep in range(args.count):
         seed = replication_seed(args.seed, args.scenario, 0, rep)
         series = simulate_fgn(params, seed)
         if subordination is not None:
             series = subordinate(series, subordination)
+        out_dir.mkdir(parents=True, exist_ok=True)  # once a series exists: a failed simulation leaves no directory
         path = write_series_csv(series, out_dir / f"{args.scenario}_h{args.hurst:.4f}_r{rep:03d}.csv")
         sidecar = json.dumps({**record, "seed": seed}, sort_keys=True, indent=2) + "\n"
         path.with_suffix(".json").write_text(sidecar)
@@ -177,12 +178,10 @@ def _format_percent(value: float) -> str:
 def _cmd_rank(args) -> int:
     if args.k < 1:
         raise ConfigError(f"-k must be >= 1, got {args.k}")
-    reports = []
-    for path in args.results:
-        reports.extend(read_report_csv(path))
-    if not reports:
+    table = StudyReports(block for path in args.results for block in read_report_csv(path).blocks)
+    if len(table) == 0:
         raise ConfigError("no rows found in the given results files")
-    top = rank_cutoffs(reports, args.k)
+    top = rank_cutoffs(table, args.k)
     print(f"{'estimator':<9} {'n':>5} {'n1':>4} {'n2':>4} {'acc%':>6} {'sens%':>6} {'spec%':>6} {'skips':>5}")
     for r in top:
         print(

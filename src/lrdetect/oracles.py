@@ -134,12 +134,18 @@ def fgn_paths(params: FgnParams, seeds) -> np.ndarray:
     return np.fft.fft(w * amplitudes, axis=1).real[:, :n] / math.sqrt(amplitudes.size)
 
 
+def metrics(tp: int, fp: int, tn: int, fn: int) -> tuple[float, float, float]:
+    """Accuracy, sensitivity and specificity as Python ``int / int``, ``math.nan`` where the denominator is 0."""
+    pairs = ((tp + tn, tp + fp + tn + fn), (tp, tp + fn), (tn, tn + fp))
+    return tuple(num / den if den else math.nan for num, den in pairs)
+
+
 def report_csv_text(reports, n: int) -> str:
     """The metrics CSV text of length n, written row by row from report objects:
     the reports of that length sorted by (estimator, n1, n2), each formatted
-    from its fields and its metric properties."""
+    from its counts and the metrics ``metrics`` computes from them."""
     rows = sorted((r for r in reports if r.series_length == n), key=lambda r: (r.estimator, r.n1, r.n2))
-    lines = [_CSV_ROW % tuple(getattr(r, column) for column in CSV_COLUMNS) for r in rows]
+    lines = [_CSV_ROW % (*(getattr(r, c) for c in CSV_COLUMNS[:8]), *metrics(r.tp, r.fp, r.tn, r.fn)) for r in rows]
     return ",".join(CSV_COLUMNS) + "\r\n" + "".join(lines)
 
 

@@ -318,33 +318,31 @@ class MetricsReport:
     tn: int
     fn: int
     skips: int
+    accuracy: float
+    sensitivity: float
+    specificity: float
 
     @property
     def total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
 
-    @property
-    def accuracy(self) -> float:
-        return (self.tp + self.tn) / self.total if self.total else math.nan
 
-    @property
-    def sensitivity(self) -> float:
-        positives = self.tp + self.fn
-        return self.tp / positives if positives else math.nan
-
-    @property
-    def specificity(self) -> float:
-        negatives = self.tn + self.fp
-        return self.tn / negatives if negatives else math.nan
+def _metrics(tp: np.ndarray, fp: np.ndarray, tn: np.ndarray, fn: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Accuracy, sensitivity and specificity of int64 count columns, as true
+    divisions, nan where the denominator is 0: the one place they are computed."""
+    with np.errstate(invalid="ignore"):  # 0 / 0 is nan
+        return (tp + tn) / (tp + fp + tn + fn), tp / (tp + fn), tn / (tn + fp)
 
 
 class StudyReports:
-    """The reports of one study as count columns, iterated as ``MetricsReport``
-    objects that are built only when they are read.
+    """The reports of one study, or of read metrics CSVs, as count columns,
+    iterated as ``MetricsReport`` objects that are built only when they are
+    read, with the metrics of each block from one ``_metrics`` call.
 
-    ``blocks`` holds one (estimator, series length, counts) triple per length
-    and estimator, in report order: length by length as configured, the
-    variance plot before GPH, windows in grid order.  ``counts`` is a
+    ``blocks`` holds (estimator, series length, counts) triples.  A study has
+    one per length and estimator, in report order: length by length as
+    configured, the variance plot before GPH, windows in grid order; a read
+    CSV has one per estimator, rows in file order.  ``counts`` is a
     read-only int64 array whose seven rows are the columns n1, n2, tp, fp,
     tn, fn and skips, one entry per window.  Two tables are equal when their
     blocks are; a table is never equal to a list.
@@ -360,8 +358,8 @@ class StudyReports:
 
     def __iter__(self):
         for estimator, n, counts in self.blocks:
-            for n1, n2, *tally in zip(*counts.tolist()):
-                yield MetricsReport(estimator, n1, n2, n, *tally)
+            for n1, n2, *values in zip(*counts.tolist(), *(m.tolist() for m in _metrics(*counts[2:6]))):
+                yield MetricsReport(estimator, n1, n2, n, *values)
 
     def __eq__(self, other):
         if not isinstance(other, StudyReports):
@@ -471,11 +469,12 @@ def run_study(cfg: StudyConfig) -> StudyReports:
     return StudyReports((estimator, n, block) for n in cfg.lengths for estimator, block in zip(ESTIMATORS, blocks[n]))
 
 
-def rank_cutoffs(reports: list[MetricsReport], k: int) -> list[MetricsReport]:
-    """Top-k reports by accuracy.
+def rank_cutoffs(reports: StudyReports, k: int) -> list[MetricsReport]:
+    """Top-k reports of a table by accuracy.
 
     Ties break deterministically by higher sensitivity, then narrower window,
-    then smaller lower cutoff, then estimator name and length.
+    then smaller lower cutoff, then estimator name and length; reports equal
+    on all of these keep their table order.
     """
     if not reports:
         raise ValueError("no reports to rank")
@@ -495,10 +494,8 @@ def write_study_outputs(cfg: StudyConfig, reports: StudyReports, out_dir) -> lis
 
     Every file is formatted straight from the count columns of ``reports``, the
     table ``run_study`` returns.  A CSV's rows are sorted by (estimator, n1, n2),
-    with the metrics computed here as true divisions of the counts, nan where
-    the denominator is 0, as ``MetricsReport`` computes them.  The manifest's
-    window grids are the n1 and n2 rows of the blocks, so no grid is resolved
-    again.
+    with the metrics from ``_metrics``.  The manifest's window grids are the n1
+    and n2 rows of the blocks, so no grid is resolved again.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -509,10 +506,8 @@ def write_study_outputs(cfg: StudyConfig, reports: StudyReports, out_dir) -> lis
         for estimator, length, counts in blocks:
             if length != n:
                 continue
-            n1, n2, tp, fp, tn, fn, skips = counts[:, np.lexsort((counts[1], counts[0]))]
-            with np.errstate(invalid="ignore"):  # 0 / 0 is nan
-                metrics = ((tp + tn) / (tp + fp + tn + fn), tp / (tp + fn), tn / (tn + fp))
-            columns = [column.tolist() for column in (n1, n2, tp, fp, tn, fn, skips, *metrics)]
+            counts = counts[:, np.lexsort((counts[1], counts[0]))]
+            columns = [column.tolist() for column in (*counts, *_metrics(*counts[2:6]))]
             rows += [_CSV_ROW % row for row in zip(itertools.repeat(estimator), *columns)]
         path = out_dir / f"results_{cfg.scenario}_n{n}.csv"
         path.write_text(",".join(CSV_COLUMNS) + "\r\n" + "".join(rows), newline="")
@@ -547,43 +542,51 @@ def _manifest_text(cfg: StudyConfig, reports: StudyReports) -> str:
     return text
 
 
-def read_report_csv(path) -> list[MetricsReport]:
-    """Read back a study metrics CSV; series length is parsed from the name.
+def read_report_csv(path) -> StudyReports:
+    """Read back a study metrics CSV as a table, one block per estimator with
+    the rows in file order; series length is parsed from the name.
 
     The name must end in ``_n<length>``, as ``write_study_outputs`` writes it.
-    A missing column, a row of the wrong width, an estimator the study does
-    not run, a window other than 1 <= n1 < n2, or a count that is not a
-    non-negative integer is a ValueError naming the file and the line.
+    A line the csv module rejects, a missing column, a row of the wrong width,
+    an estimator the study does not run, a window other than 1 <= n1 < n2, a
+    count that is not a non-negative integer, or an n2 or a sum of counts
+    above 2**53 (beyond which float64 metrics lose exactness) is a ValueError
+    naming the file and the line.
     """
     path = Path(path)
     _, marker, tail = path.stem.rpartition("_n")
     if not marker or not tail.isdigit():
         raise ValueError(f"{path}: file name lacks the series length suffix _n<digits>")
     length = int(tail)
-    reports = []
+    blocks = {estimator: [] for estimator in ESTIMATORS}
     with path.open(newline="") as fh:
         rows = csv.reader(fh)
-        header = next(rows, [])
-        missing = [name for name in CSV_COLUMNS[:8] if name not in header]
-        if missing:
-            raise ValueError(f"{path}: line 1: missing column(s) {', '.join(missing)}")
-        columns = [header.index(name) for name in CSV_COLUMNS[:8]]
-        for row in rows:
-            if not row:
-                continue  # a blank line
-            line = f"{path}: line {rows.line_num}"
-            if len(row) != len(header):
-                raise ValueError(f"{line}: {len(row)} fields, the header has {len(header)}")
-            estimator, *values = (row[i] for i in columns)
-            try:
-                n1, n2, *counts = (int(value) for value in values)
-            except ValueError:
-                raise ValueError(f"{line}: n1, n2 and the counts must be integers, got {values}") from None
-            if estimator not in ESTIMATORS:
-                raise ValueError(f"{line}: estimator must be one of {', '.join(ESTIMATORS)}, got {estimator!r}")
-            if not 1 <= n1 < n2:
-                raise ValueError(f"{line}: need 1 <= n1 < n2, got ({n1}, {n2})")
-            if min(counts) < 0:
-                raise ValueError(f"{line}: counts must be non-negative, got {values[2:]}")
-            reports.append(MetricsReport(estimator, n1, n2, length, *counts))
-    return reports
+        try:
+            header = next(rows, [])
+            missing = [name for name in CSV_COLUMNS[:8] if name not in header]
+            if missing:
+                raise ValueError(f"{path}: line 1: missing column(s) {', '.join(missing)}")
+            columns = [header.index(name) for name in CSV_COLUMNS[:8]]
+            for row in rows:
+                if not row:
+                    continue  # a blank line
+                line = f"{path}: line {rows.line_num}"
+                if len(row) != len(header):
+                    raise ValueError(f"{line}: {len(row)} fields, the header has {len(header)}")
+                estimator, *values = (row[i] for i in columns)
+                try:
+                    n1, n2, *counts = (int(value) for value in values)
+                except ValueError:
+                    raise ValueError(f"{line}: n1, n2 and the counts must be integers, got {values}") from None
+                if estimator not in ESTIMATORS:
+                    raise ValueError(f"{line}: estimator must be one of {', '.join(ESTIMATORS)}, got {estimator!r}")
+                if not 1 <= n1 < n2:
+                    raise ValueError(f"{line}: need 1 <= n1 < n2, got ({n1}, {n2})")
+                if min(counts) < 0:
+                    raise ValueError(f"{line}: counts must be non-negative, got {values[2:]}")
+                if max(n2, sum(counts)) > 1 << 53:
+                    raise ValueError(f"{line}: n2 and the sum of the counts must be at most 2**53, got {values}")
+                blocks[estimator].append((n1, n2, *counts))
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {rows.line_num}: {exc}") from None
+    return StudyReports((name, length, np.array(b, dtype=np.int64).reshape(-1, 7).T) for name, b in blocks.items())

@@ -93,6 +93,17 @@ def test_simulate_names_an_overflowing_sigma2_without_warnings(tmp_path, capsys)
     assert err.startswith("error:") and "sigma2=1e+308" in err and "n=200" in err
 
 
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_failed_simulation_leaves_out_dir_as_it_was(tmp_path, capsys, existing):
+    out_dir = tmp_path / "out"
+    if existing:
+        out_dir.mkdir()
+    argv = ["simulate", "--scenario", "fgn", "--hurst", "0.7", "--length", "200", "--seed", "1", "--sigma2", "1e308"]
+    assert main([*argv, "--out-dir", str(out_dir)]) == 1
+    assert "sigma2" in capsys.readouterr().err
+    assert out_dir.exists() == existing and not any(tmp_path.rglob("*.csv"))
+
+
 def test_estimate_ignores_json_next_to_csv(tmp_path, capsys):
     series = tmp_path / "x.csv"
     series.write_text("value\n" + "".join(f"{v % 7}\n" for v in range(40)))
@@ -485,8 +496,15 @@ _REPORT_HEADER = "estimator,n1,n2,tp,fp,tn,fn,skips,accuracy,sensitivity,specifi
         (_REPORT_HEADER + "gph,1,5,1,0,0,0,0,1.0,1.0,nan\nbogus,9,2,5,0,5,0,0,1,1,1\n", "line 3: estimator must be one of variance, gph, got 'bogus'"),
         (_REPORT_HEADER + "variance,9,2,5,0,5,0,0,1,1,1\n", "line 2: need 1 <= n1 < n2, got (9, 2)"),
         (_REPORT_HEADER + "gph,4,4,5,0,5,0,0,1,1,1\n", "line 2: need 1 <= n1 < n2, got (4, 4)"),
+        (_REPORT_HEADER + "gph,1,5,1,0,0,0,0,1,1,nan\ngph,1,6,1,0,0,0,0,1,1," + "x" * 131073 + "\n", "line 3: field larger than field limit"),
+        (_REPORT_HEADER + f"gph,1,{2**53 + 1},1,0,0,0,0,1,1,nan\n", "line 2: n2 and the sum of the counts must be at most 2**53"),
+        (_REPORT_HEADER + f"variance,1,5,{2**53},0,0,0,1,1,1,nan\n", "line 2: n2 and the sum of the counts must be at most 2**53"),
+        (_REPORT_HEADER + f"variance,1,5,{2**64},0,0,0,0,1,1,nan\n", "line 2: n2 and the sum of the counts must be at most 2**53"),
     ],
-    ids=["missing-column", "short-row", "negative-count", "not-an-integer", "unknown-estimator", "reversed-window", "empty-window"],
+    ids=[
+        "missing-column", "short-row", "negative-count", "not-an-integer", "unknown-estimator", "reversed-window",
+        "empty-window", "oversized-field", "n2-above-2**53", "counts-above-2**53", "count-above-2**63",
+    ],
 )
 def test_rank_names_file_and_line_of_malformed_csv(tmp_path, capsys, text, message):
     results = tmp_path / "results_fgn_n50.csv"
@@ -495,6 +513,53 @@ def test_rank_names_file_and_line_of_malformed_csv(tmp_path, capsys, text, messa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {results}: {message}")
+
+
+# Two metrics files of lengths 40 and 60: the first with reordered columns and an extra one, a
+# nan sensitivity, an all-skip row and a window repeated with other skips, and the estimators
+# interleaved; equal accuracy is broken by sensitivity, width, n1, estimator and then length.
+_RANKED_FILES = {
+    "a_n40.csv": """note,skips,n2,n1,estimator,fn,tn,fp,tp,specificity,sensitivity,accuracy
+x,0,5,1,gph,2,6,2,6,0.75,0.75,0.75
+x,0,5,1,variance,2,6,2,6,0.75,0.75,0.75
+x,0,6,2,gph,2,6,2,6,0.75,0.75,0.75
+x,0,9,1,variance,2,6,2,6,0.75,0.75,0.75
+x,0,4,3,gph,4,8,0,4,1.0,0.5,0.75
+x,0,3,2,variance,0,13,3,0,0.8125,nan,0.8125
+x,16,8,4,gph,0,0,0,0,nan,nan,nan
+x,3,5,1,variance,2,6,2,6,0.75,0.75,0.75
+""",
+    "b_n60.csv": """estimator,n1,n2,tp,fp,tn,fn,skips,accuracy,sensitivity,specificity
+variance,1,5,6,2,6,2,1,0.750000,0.750000,0.750000
+gph,1,5,6,2,6,2,0,0.750000,0.750000,0.750000
+variance,2,3,0,5,11,0,0,0.687500,nan,0.687500
+gph,2,4,0,0,0,0,16,nan,nan,nan
+variance,1,2,7,1,7,1,0,0.875000,0.875000,0.875000
+""",
+}
+_RANKED = """\
+estimator     n   n1   n2   acc%  sens%  spec% skips
+variance     60    1    2  87.50  87.50  87.50     0
+variance     40    2    3  81.25    nan  81.25     0
+gph          40    1    5  75.00  75.00  75.00     0
+gph          60    1    5  75.00  75.00  75.00     0
+variance     40    1    5  75.00  75.00  75.00     0
+variance     40    1    5  75.00  75.00  75.00     3
+variance     60    1    5  75.00  75.00  75.00     1
+gph          40    2    6  75.00  75.00  75.00     0
+variance     40    1    9  75.00  75.00  75.00     0
+gph          40    3    4  75.00  50.00 100.00     0
+variance     60    2    3  68.75    nan  68.75     0
+gph          60    2    4    nan    nan    nan    16
+gph          40    4    8    nan    nan    nan    16
+"""
+
+
+def test_rank_orders_ties_and_nan_metrics(tmp_path, capsys):
+    for name, text in _RANKED_FILES.items():
+        (tmp_path / name).write_text(text)
+    assert main(["rank", *(str(tmp_path / name) for name in _RANKED_FILES), "-k", "100"]) == 0
+    assert capsys.readouterr().out == _RANKED
 
 
 def test_rank_rejects_results_name_without_length(tmp_path, capsys):

@@ -322,31 +322,40 @@ def test_constant_series_counts_as_skip():
     assert np.all(_gph_labels(constant, np.array([(1, 10)]), full_ordinates(constant)) == 2)
 
 
+def _block(estimator, n, *rows):
+    """A report block of ``StudyReports``: rows (n1, n2, tp, fp, tn, fn, skips) as count columns."""
+    return estimator, n, np.array(rows, dtype=np.int64).reshape(-1, 7).T
+
+
 def test_rank_cutoffs_orders_and_saturates():
-    rows = [
-        MetricsReport("variance", 1, 4, 200, tp=90, fp=10, tn=90, fn=10, skips=0),
-        MetricsReport("variance", 1, 9, 200, tp=95, fp=10, tn=90, fn=5, skips=0),
-        MetricsReport("variance", 2, 5, 200, tp=95, fp=10, tn=90, fn=5, skips=0),
-        MetricsReport("gph", 1, 30, 200, tp=50, fp=50, tn=50, fn=50, skips=0),
-    ]
-    top = rank_cutoffs(rows, 10)
+    table = StudyReports(
+        [
+            _block("variance", 200, (1, 4, 90, 10, 90, 10, 0), (1, 9, 95, 10, 90, 5, 0), (2, 5, 95, 10, 90, 5, 0)),
+            _block("gph", 200, (1, 30, 50, 50, 50, 50, 0)),
+        ]
+    )
+    rows = list(table)
+    top = rank_cutoffs(table, 10)
     assert len(top) == 4  # k larger than available rows returns everything
     assert [r.accuracy for r in top] == sorted((r.accuracy for r in rows), reverse=True)
     # equal accuracy and sensitivity: narrower window wins
     assert (top[0].n1, top[0].n2) == (2, 5)
     assert (top[1].n1, top[1].n2) == (1, 9)
-    assert rank_cutoffs(rows, 2) == top[:2]
+    assert rank_cutoffs(table, 2) == top[:2]
     with pytest.raises(ValueError):
-        rank_cutoffs([], 5)
+        rank_cutoffs(StudyReports([]), 5)
 
 
 def test_metrics_report_properties():
-    r = MetricsReport("variance", 1, 4, 200, tp=8, fp=2, tn=6, fn=4, skips=1)
-    assert r.accuracy == 14 / 20
-    assert r.sensitivity == 8 / 12
-    assert r.specificity == 6 / 8
-    empty = MetricsReport("variance", 1, 4, 200, tp=0, fp=0, tn=0, fn=0, skips=20)
-    assert np.isnan(empty.accuracy)
+    # _metrics against Python int / int: no positives, no negatives, all skips, and counts that
+    # sum to exactly 2**53; a table's records carry the same metrics
+    rows = [(8, 2, 6, 4), (0, 3, 5, 0), (7, 0, 0, 2), (0, 0, 0, 0), (2**53 - 3, 1, 1, 1), (1, 2**53 - 3, 1, 1)]
+    got = np.array(study._metrics(*np.array(rows, dtype=np.int64).T)).T
+    assert got[0].tolist() == [14 / 20, 8 / 12, 6 / 8]
+    np.testing.assert_array_equal(got, [oracles.metrics(*row) for row in rows])  # nan equals nan here
+    assert np.isnan(got[1:4]).tolist() == [[False, True, False], [False, False, True], [True, True, True]]
+    table = StudyReports([_block("gph", 50, *((1, 2, *row, 0) for row in rows))])
+    np.testing.assert_array_equal([(r.accuracy, r.sensitivity, r.specificity) for r in table], got)
 
 
 def test_csv_round_trip(tmp_path):
@@ -398,16 +407,17 @@ def test_written_csv_matches_report_rows(tmp_path, cfg, nan_metrics):
 def test_study_reports_iterates_reports():
     cfg = StudyConfig("fgn", (60, 40), 2, 11, variance_cutoffs=((2, 9), (1, 4)), gph_cutoffs=((3, 30), (1, 12)))
     reports = run_study(cfg)
-    # as run_study returned them when it built one MetricsReport per window
+    # as run_study returned them when it built one MetricsReport per window: estimator, n1, n2,
+    # length, then tp, fp, tn, fn and skips, and the metrics as Python fractions
     assert list(reports) == [
-        MetricsReport("variance", 2, 9, 60, tp=6, fp=1, tn=11, fn=6, skips=0),
-        MetricsReport("variance", 1, 4, 60, tp=7, fp=2, tn=10, fn=5, skips=0),
-        MetricsReport("gph", 3, 30, 60, tp=9, fp=6, tn=6, fn=3, skips=0),
-        MetricsReport("gph", 1, 12, 60, tp=6, fp=3, tn=9, fn=6, skips=0),
-        MetricsReport("variance", 2, 9, 40, tp=3, fp=1, tn=11, fn=9, skips=0),
-        MetricsReport("variance", 1, 4, 40, tp=6, fp=1, tn=11, fn=6, skips=0),
-        MetricsReport("gph", 3, 30, 40, tp=7, fp=4, tn=8, fn=5, skips=0),
-        MetricsReport("gph", 1, 12, 40, tp=7, fp=2, tn=10, fn=5, skips=0),
+        MetricsReport("variance", 2, 9, 60, 6, 1, 11, 6, 0, accuracy=17 / 24, sensitivity=6 / 12, specificity=11 / 12),
+        MetricsReport("variance", 1, 4, 60, 7, 2, 10, 5, 0, accuracy=17 / 24, sensitivity=7 / 12, specificity=10 / 12),
+        MetricsReport("gph", 3, 30, 60, 9, 6, 6, 3, 0, accuracy=15 / 24, sensitivity=9 / 12, specificity=6 / 12),
+        MetricsReport("gph", 1, 12, 60, 6, 3, 9, 6, 0, accuracy=15 / 24, sensitivity=6 / 12, specificity=9 / 12),
+        MetricsReport("variance", 2, 9, 40, 3, 1, 11, 9, 0, accuracy=14 / 24, sensitivity=3 / 12, specificity=11 / 12),
+        MetricsReport("variance", 1, 4, 40, 6, 1, 11, 6, 0, accuracy=17 / 24, sensitivity=6 / 12, specificity=11 / 12),
+        MetricsReport("gph", 3, 30, 40, 7, 4, 8, 5, 0, accuracy=15 / 24, sensitivity=7 / 12, specificity=8 / 12),
+        MetricsReport("gph", 1, 12, 40, 7, 2, 10, 5, 0, accuracy=17 / 24, sensitivity=7 / 12, specificity=10 / 12),
     ]
     assert isinstance(reports, StudyReports) and len(reports) == 8
     with pytest.raises(TypeError):
