@@ -115,8 +115,8 @@ def _study_config(args) -> tuple[StudyConfig, Path]:
     file_cfg = {}
     if args.config is not None:
         try:
-            file_cfg = json.loads(Path(args.config).read_text())
-        except json.JSONDecodeError as exc:
+            file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:  # JSON text is UTF-8
             raise ConfigError(f"{args.config}: not valid JSON: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"{args.config}: expected a JSON object of study settings")

@@ -7,7 +7,6 @@ restates a definition literally so the fast paths have an independent check.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import math
 from typing import Callable
 
@@ -17,7 +16,7 @@ from .errors import WindowExceedsSeries
 from .fgn import FgnParams, uniform_draws
 from .gph import Periodogram
 from .series import TimeSeries
-from .study import _CSV_ROW, CSV_COLUMNS, StudyConfig
+from .study import _CSV_ROW, CSV_COLUMNS
 from .varplot import BlockVarianceCurve
 
 CovarianceFunction = Callable[[int], float]
@@ -147,20 +146,6 @@ def report_csv_text(reports, n: int) -> str:
     rows = sorted((r for r in reports if r.series_length == n), key=lambda r: (r.estimator, r.n1, r.n2))
     lines = [_CSV_ROW % (*(getattr(r, c) for c in CSV_COLUMNS[:8]), *metrics(r.tp, r.fp, r.tn, r.fn)) for r in rows]
     return ",".join(CSV_COLUMNS) + "\r\n" + "".join(lines)
-
-
-def manifest_dict(cfg: StudyConfig) -> dict:
-    """The study manifest as a dict, resolved from the config alone: every field,
-    with the Hurst grid, the level seed and each length's window grids as
-    resolved for the run."""
-    grids = {str(n): cfg.grids_for(n) for n in cfg.lengths}
-    return {
-        **{f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)},
-        "hurst_grid": [float(h) for h in cfg.resolved_hurst_grid()],
-        "level_seed": cfg.resolved_level_seed(),
-        "variance_cutoffs": {n: var.tolist() for n, (var, _) in grids.items()},
-        "gph_cutoffs": {n: gph.tolist() for n, (_, gph) in grids.items()},
-    }
 
 
 def csv_reader_series(path) -> TimeSeries:

@@ -9,14 +9,16 @@ the resolved configuration is deterministic, including across worker counts.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import math
 import numbers
 import operator
 import os
+import reprlib
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -59,8 +61,6 @@ CSV_COLUMNS = (
 # One row of CSV_COLUMNS: the counts written as they are, then the derived
 # metrics to six decimals ("nan" when undefined), as csv.writer wrote them.
 _CSV_ROW = "%s,%d,%d,%d,%d,%d,%d,%d,%.6f,%.6f,%.6f\r\n"
-# One window of a manifest grid as json.dumps(..., indent=2) prints it.
-_MANIFEST_PAIR = "      [\n        %d,\n        %d\n      ]"
 # Where a cell's [non-LRD, LRD, skip] label counts add in a report block (rows
 # n1, n2, tp, fp, tn, fn, skips), by the truth of its Hurst value: a non-LRD
 # series labelled non-LRD is a tn and labelled LRD an fp; an LRD one, fn and tp.
@@ -183,28 +183,34 @@ def replication_seed(master_seed: int, scenario: str, h_index: int, rep_index: i
     return int(_seed_hash(master_seed, _SCENARIO_CODE[scenario], h_index, rep_index))
 
 
+# Echoes a rejected config value cut short: a list shows its first six items
+# and a mapping its first two, so an error never prints a whole grid.
+_echo = reprlib.Repr()
+_echo.maxdict = 2
+
+
 def _integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+        raise ConfigError(f"{name} must be an integer, got {_echo.repr(value)}")
     return int(value)
 
 
 def _real(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
+        raise ConfigError(f"{name} must be a number, got {_echo.repr(value)}")
     return float(value)
 
 
 def _items(name: str, value, item) -> tuple:
     if isinstance(value, (str, bytes, Mapping)) or not isinstance(value, Iterable):
-        raise ConfigError(f"{name} must be a list, got {value!r}")
+        raise ConfigError(f"{name} must be a list, got {_echo.repr(value)}")
     return tuple(item(name, v) for v in value)
 
 
 def _pair(name: str, value) -> tuple[int, int]:
     pair = _items(name, value, _integer)
     if len(pair) != 2:
-        raise ConfigError(f"{name} entries must be [low, high] pairs, got {value!r}")
+        raise ConfigError(f"{name} entries must be [low, high] pairs, got {_echo.repr(value)}")
     return pair
 
 
@@ -218,7 +224,11 @@ def _no_repeats(name: str, values: tuple) -> None:
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Complete description of one study run; a fixed config fixes the output."""
+    """Complete description of one study run; a fixed config fixes the output.
+
+    It is checked when built: an invalid value raises ConfigError naming the
+    field.  A Hurst grid, level seed or window grid left None takes its default.
+    """
 
     scenario: str
     lengths: tuple[int, ...]
@@ -233,8 +243,9 @@ class StudyConfig:
     workers: int = 1
 
     def __post_init__(self):
-        """Coerce each field to its declared type.  A value of another type
-        raises ConfigError naming the field; no float is truncated to an int."""
+        """Coerce each field to its declared type, then check the values.  A
+        value of another type raises ConfigError naming the field; no float is
+        truncated to an int."""
         fix = partial(object.__setattr__, self)
         fix("lengths", _items("lengths", self.lengths, _integer))
         for name in ("replications", "master_seed", "psi", "workers"):
@@ -247,8 +258,6 @@ class StudyConfig:
         for name in ("variance_cutoffs", "gph_cutoffs"):
             if getattr(self, name) is not None:
                 fix(name, _items(name, getattr(self, name), _pair))
-
-    def validate(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if not self.lengths or any(not 4 <= n <= MAX_LENGTH for n in self.lengths):
@@ -439,7 +448,6 @@ def run_study(cfg: StudyConfig) -> StudyReports:
     whose integer label counts are summed, so output is identical for every
     worker count.
     """
-    cfg.validate()
     levels = None
     if cfg.scenario == "subordinated-fgn":
         levels = draw_levels(cfg.psi, cfg.resolved_level_seed())
@@ -490,12 +498,14 @@ def rank_cutoffs(reports: StudyReports, k: int) -> list[MetricsReport]:
 
 
 def write_study_outputs(cfg: StudyConfig, reports: StudyReports, out_dir) -> list[Path]:
-    """One metrics CSV per series length plus a JSON manifest of the resolved config.
+    """One metrics CSV per series length plus a JSON manifest of the config as run.
 
-    Every file is formatted straight from the count columns of ``reports``, the
-    table ``run_study`` returns.  A CSV's rows are sorted by (estimator, n1, n2),
-    with the metrics from ``_metrics``.  The manifest's window grids are the n1
-    and n2 rows of the blocks, so no grid is resolved again.
+    Every CSV is formatted straight from the count columns of ``reports``, the
+    table ``run_study`` returns, its rows sorted by (estimator, n1, n2) and its
+    metrics from ``_metrics``.  The manifest holds every field of ``cfg`` as
+    given (a window grid left to the default rule is null), with the Hurst grid
+    and the level seed resolved, so ``study --config`` on it runs the same
+    study again and rewrites every file byte for byte.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -512,34 +522,15 @@ def write_study_outputs(cfg: StudyConfig, reports: StudyReports, out_dir) -> lis
         path = out_dir / f"results_{cfg.scenario}_n{n}.csv"
         path.write_text(",".join(CSV_COLUMNS) + "\r\n" + "".join(rows), newline="")
         written.append(path)
-    manifest = out_dir / f"manifest_{cfg.scenario}.json"
-    manifest.write_text(_manifest_text(cfg, reports) + "\n")
-    written.append(manifest)
-    return written
-
-
-def _manifest_text(cfg: StudyConfig, reports: StudyReports) -> str:
-    """The resolved config as ``json.dumps(..., sort_keys=True, indent=2)`` prints
-    it: every field, with the Hurst grid and the level seed resolved and each
-    window grid read from the n1 and n2 rows of its block, printed from a
-    per-pair template, not by the encoder."""
     manifest = {
-        **{f.name: getattr(cfg, f.name) for f in fields(cfg)},
+        **vars(cfg),
         "hurst_grid": [float(h) for h in cfg.resolved_hurst_grid()],
         "level_seed": cfg.resolved_level_seed(),
-        "variance_cutoffs": {},
-        "gph_cutoffs": {},
     }
-    grids = {}
-    for estimator, n, counts in reports.blocks:
-        token = f"\0{estimator} {n}"  # no scenario name holds a NUL
-        manifest[f"{estimator}_cutoffs"][str(n)] = token
-        grids[json.dumps(token)] = counts[:2].T.ravel().tolist()  # n1, n2 of each window in turn
-    text = json.dumps(manifest, sort_keys=True, indent=2)
-    for token, pairs in grids.items():
-        body = ",\n".join([_MANIFEST_PAIR] * (len(pairs) // 2)) % tuple(pairs)
-        text = text.replace(token, f"[\n{body}\n    ]")
-    return text
+    path = out_dir / f"manifest_{cfg.scenario}.json"
+    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    written.append(path)
+    return written
 
 
 def read_report_csv(path) -> StudyReports:
@@ -549,9 +540,9 @@ def read_report_csv(path) -> StudyReports:
     The name must end in ``_n<length>``, as ``write_study_outputs`` writes it.
     A line the csv module rejects, a missing column, a row of the wrong width,
     an estimator the study does not run, a window other than 1 <= n1 < n2, a
-    count that is not a non-negative integer, or an n2 or a sum of counts
-    above 2**53 (beyond which float64 metrics lose exactness) is a ValueError
-    naming the file and the line.
+    count that is not a non-negative integer, an n2 or a sum of counts above
+    2**53 (beyond which float64 metrics lose exactness), or a byte that is not
+    UTF-8 is a ValueError naming the file and the line.
     """
     path = Path(path)
     _, marker, tail = path.stem.rpartition("_n")
@@ -559,34 +550,39 @@ def read_report_csv(path) -> StudyReports:
         raise ValueError(f"{path}: file name lacks the series length suffix _n<digits>")
     length = int(tail)
     blocks = {estimator: [] for estimator in ESTIMATORS}
-    with path.open(newline="") as fh:
-        rows = csv.reader(fh)
-        try:
-            header = next(rows, [])
-            missing = [name for name in CSV_COLUMNS[:8] if name not in header]
-            if missing:
-                raise ValueError(f"{path}: line 1: missing column(s) {', '.join(missing)}")
-            columns = [header.index(name) for name in CSV_COLUMNS[:8]]
-            for row in rows:
-                if not row:
-                    continue  # a blank line
-                line = f"{path}: line {rows.line_num}"
-                if len(row) != len(header):
-                    raise ValueError(f"{line}: {len(row)} fields, the header has {len(header)}")
-                estimator, *values = (row[i] for i in columns)
-                try:
-                    n1, n2, *counts = (int(value) for value in values)
-                except ValueError:
-                    raise ValueError(f"{line}: n1, n2 and the counts must be integers, got {values}") from None
-                if estimator not in ESTIMATORS:
-                    raise ValueError(f"{line}: estimator must be one of {', '.join(ESTIMATORS)}, got {estimator!r}")
-                if not 1 <= n1 < n2:
-                    raise ValueError(f"{line}: need 1 <= n1 < n2, got ({n1}, {n2})")
-                if min(counts) < 0:
-                    raise ValueError(f"{line}: counts must be non-negative, got {values[2:]}")
-                if max(n2, sum(counts)) > 1 << 53:
-                    raise ValueError(f"{line}: n2 and the sum of the counts must be at most 2**53, got {values}")
-                blocks[estimator].append((n1, n2, *counts))
-        except csv.Error as exc:
-            raise ValueError(f"{path}: line {rows.line_num}: {exc}") from None
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line}: not UTF-8 text") from None
+    rows = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(rows, [])
+        missing = [name for name in CSV_COLUMNS[:8] if name not in header]
+        if missing:
+            raise ValueError(f"{path}: line 1: missing column(s) {', '.join(missing)}")
+        columns = [header.index(name) for name in CSV_COLUMNS[:8]]
+        for row in rows:
+            if not row:
+                continue  # a blank line
+            line = f"{path}: line {rows.line_num}"
+            if len(row) != len(header):
+                raise ValueError(f"{line}: {len(row)} fields, the header has {len(header)}")
+            estimator, *values = (row[i] for i in columns)
+            try:
+                n1, n2, *counts = (int(value) for value in values)
+            except ValueError:
+                raise ValueError(f"{line}: n1, n2 and the counts must be integers, got {values}") from None
+            if estimator not in ESTIMATORS:
+                raise ValueError(f"{line}: estimator must be one of {', '.join(ESTIMATORS)}, got {estimator!r}")
+            if not 1 <= n1 < n2:
+                raise ValueError(f"{line}: need 1 <= n1 < n2, got ({n1}, {n2})")
+            if min(counts) < 0:
+                raise ValueError(f"{line}: counts must be non-negative, got {values[2:]}")
+            if max(n2, sum(counts)) > 1 << 53:
+                raise ValueError(f"{line}: n2 and the sum of the counts must be at most 2**53, got {values}")
+            blocks[estimator].append((n1, n2, *counts))
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {rows.line_num}: {exc}") from None
     return StudyReports((name, length, np.array(b, dtype=np.int64).reshape(-1, 7).T) for name, b in blocks.items())

@@ -52,6 +52,8 @@ class VariancePlotConfig:
                 raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
             if not self.m > 1.0:
                 raise ValueError(f"m must exceed 1, got {self.m}")
+            if self.m == math.inf:
+                raise ValueError(f"m must be finite, got {self.m}")
 
     def resolve(self, n: int) -> tuple[int, int]:
         """Concrete (n1, n2) for a series of length n; 1 <= n1 < n2 <= n.
@@ -65,14 +67,16 @@ class VariancePlotConfig:
             return self.n1, self.n2
         root = n**self.delta
         low = max(1, math.floor(root))
-        high = math.ceil(self.m * root)
+        high = self.m * root  # inf if the product overflows, so clamped before its ceiling
         if high > n - 1:
+            shown = math.ceil(high) if high < math.inf else high
             warnings.warn(
-                f"window upper end {high} clamped to {n - 1}, one below series length {n}",
+                f"window upper end {shown} clamped to {n - 1}, one below series length {n}",
                 RuntimeWarning,
                 stacklevel=2,
             )
             high = n - 1
+        high = math.ceil(high)
         if high - low + 1 < 2:
             raise WindowExceedsSeries(
                 f"resolved window [{low}, {high}] has fewer than 2 block lengths"

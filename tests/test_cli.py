@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import lrdetect.gph
-from lrdetect import cli, read_series_csv, replication_seed
+from lrdetect import cli, default_gph_grid, default_hurst_grid, default_variance_grid, read_series_csv, replication_seed
 from lrdetect.cli import main
 
 
@@ -253,7 +253,7 @@ def test_study_with_config_file_and_overrides(tmp_path, capsys):
     recorded = json.loads(manifest.read_text())
     assert recorded["master_seed"] == 5
     assert recorded["replications"] == 4  # explicit config wins over scale
-    assert recorded["variance_cutoffs"]["60"] == [[1, 5], [2, 9]]
+    assert recorded["variance_cutoffs"] == [[1, 5], [2, 9]]
     capsys.readouterr()
     assert main(["rank", str(results), "-k", "3"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -395,8 +395,10 @@ def test_study_allows_repeated_hurst_values(tmp_path, capsys):
     [
         ('{"lengths": [50], }', ["--scale", "0.1"], "{config}: not valid JSON: "),
         (None, ["--scale", "0.0004"], "scale must give at least 1 replication"),
+        ('{"lengths": [50]}\udcff', ["--scale", "0.1"],
+         "{config}: not valid JSON: 'utf-8' codec can't decode byte 0xff"),
     ],
-    ids=["malformed-json", "scale-rounds-to-zero"],
+    ids=["malformed-json", "scale-rounds-to-zero", "not-utf-8"],
 )
 def test_study_input_errors_name_what_was_given(tmp_path, capsys, monkeypatch, config, flags, message):
     def no_compute(cfg):
@@ -407,11 +409,37 @@ def test_study_input_errors_name_what_was_given(tmp_path, capsys, monkeypatch, c
     argv = ["study", "--seed", "1", "--scenario", "fgn", "--workers", "1", "--out-dir", str(out_dir), *flags]
     if config is not None:
         path = tmp_path / "bad.json"
-        path.write_text(config)
+        path.write_text(config, encoding="utf-8", errors="surrogateescape")  # "\udcff" is the byte 0xff
         argv += ["--config", str(path)]
         message = message.format(config=path)
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out_dir.exists()
+
+
+def test_study_refuses_a_manifest_of_per_length_grids_in_one_short_line(tmp_path, capsys):
+    # manifests once listed every window of every length (654 KB for the README study);
+    # given as a config, such a file fails on its first grid without echoing the grid
+    lengths = (50, 100, 200, 500)
+    manifest = {
+        "alpha": 1.0,
+        "gph_cutoffs": {str(n): default_gph_grid(n) for n in lengths},
+        "hurst_grid": list(default_hurst_grid("fgn")),
+        "lengths": lengths,
+        "level_seed": 7,
+        "master_seed": 1,
+        "psi": 100,
+        "replications": 100,
+        "scenario": "fgn",
+        "variance_cutoffs": {str(n): default_variance_grid(n) for n in lengths},
+        "workers": 4,
+    }
+    path = tmp_path / "manifest_fgn.json"
+    path.write_text(json.dumps(manifest, sort_keys=True, indent=2))
+    out_dir = tmp_path / "out"
+    assert main(["study", "--config", str(path), "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: variance_cutoffs must be a list, got {'100': [[1, 2], ") and len(err) < 200
     assert not out_dir.exists()
 
 
@@ -500,15 +528,16 @@ _REPORT_HEADER = "estimator,n1,n2,tp,fp,tn,fn,skips,accuracy,sensitivity,specifi
         (_REPORT_HEADER + f"gph,1,{2**53 + 1},1,0,0,0,0,1,1,nan\n", "line 2: n2 and the sum of the counts must be at most 2**53"),
         (_REPORT_HEADER + f"variance,1,5,{2**53},0,0,0,1,1,1,nan\n", "line 2: n2 and the sum of the counts must be at most 2**53"),
         (_REPORT_HEADER + f"variance,1,5,{2**64},0,0,0,0,1,1,nan\n", "line 2: n2 and the sum of the counts must be at most 2**53"),
+        (_REPORT_HEADER + "gph,1,5,1,0,0,0,0,1,1,nan\ngph,1,6,1,0,0,0,0,1,1,\udcff\n", "line 3: not UTF-8 text"),
     ],
     ids=[
         "missing-column", "short-row", "negative-count", "not-an-integer", "unknown-estimator", "reversed-window",
-        "empty-window", "oversized-field", "n2-above-2**53", "counts-above-2**53", "count-above-2**63",
+        "empty-window", "oversized-field", "n2-above-2**53", "counts-above-2**53", "count-above-2**63", "not-utf-8",
     ],
 )
 def test_rank_names_file_and_line_of_malformed_csv(tmp_path, capsys, text, message):
     results = tmp_path / "results_fgn_n50.csv"
-    results.write_text(text)
+    results.write_text(text, encoding="utf-8", errors="surrogateescape")  # "\udcff" is the byte 0xff
     assert main(["rank", str(results)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,5 +1,4 @@
 import hashlib
-import json
 import os
 import subprocess
 import sys
@@ -29,6 +28,7 @@ from lrdetect import (
     write_study_outputs,
 )
 from lrdetect import oracles, study
+from lrdetect.cli import main
 from lrdetect.excursion import MAX_PSI
 from lrdetect.fgn import MAX_LENGTH
 from lrdetect.gph import full_ordinates, gph_regressors
@@ -119,20 +119,20 @@ def test_replication_seed_is_stable_and_distinct():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        small_cfg(scenario="unknown").validate()
+        small_cfg(scenario="unknown")
     with pytest.raises(ConfigError):
-        small_cfg(replications=0).validate()
+        small_cfg(replications=0)
     with pytest.raises(ConfigError):
-        small_cfg(variance_cutoffs=((1, 100),)).validate()
+        small_cfg(variance_cutoffs=((1, 100),))
     with pytest.raises(ConfigError):
-        small_cfg(gph_cutoffs=((1, 80),)).validate()
+        small_cfg(gph_cutoffs=((1, 80),))
     with pytest.raises(ConfigError):
-        small_cfg(hurst_grid=(0.2, 1.0)).validate()
+        small_cfg(hurst_grid=(0.2, 1.0))
     with pytest.raises(ConfigError):
-        small_cfg(workers=0).validate()
+        small_cfg(workers=0)
     with pytest.raises(ConfigError):
-        small_cfg(variance_cutoffs=()).validate()
-    small_cfg().validate()
+        small_cfg(variance_cutoffs=())
+    small_cfg()
 
 
 def test_run_study_counts_are_conserved():
@@ -176,8 +176,9 @@ def test_subordinated_metrics_invariant_in_alpha(tmp_path):
 
 
 def test_subordinated_study_csvs_match_recorded_digest(tmp_path):
-    # seed 0, default grids; recorded when the study still transformed one
-    # TimeSeries at a time, so the batched transform must keep every byte
+    # seed 0, default grids; the CSVs' digests were recorded when the study still
+    # transformed one TimeSeries at a time, so the batched transform must keep every
+    # byte; the manifest's when it became the config as run
     cfg = StudyConfig(scenario="subordinated-fgn", lengths=(50, 100, 200, 500), replications=10, master_seed=0)
     paths = write_study_outputs(cfg, run_study(cfg), tmp_path)
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths} == {
@@ -185,7 +186,7 @@ def test_subordinated_study_csvs_match_recorded_digest(tmp_path):
         "results_subordinated-fgn_n100.csv": "93539318ca1bc276a95a1fe3f26805d1ac5058709b1a29f3ac779462ee552a62",
         "results_subordinated-fgn_n200.csv": "058f8aab919e1733a9e1701de62197aa11139fd8ccc73d366b440bc69b841782",
         "results_subordinated-fgn_n500.csv": "a5d8f088b5c3d1f35f08d5754bd0e974c7b214c7b4f2acac3a2ef11630296cd1",
-        "manifest_subordinated-fgn.json": "432d2646ec9358a20ecbaeb9accb9db1f6a589adf6226d7ee29052ac45b646b9",
+        "manifest_subordinated-fgn.json": "51c960dad330be290284c72389fc79be50901232709c2931c2333f91eb6af23d",
     }
 
 
@@ -207,9 +208,9 @@ def test_subordinated_study_does_not_overflow_on_small_alpha():
 
 
 def test_worker_count_has_a_ceiling():
-    small_cfg(workers=MAX_WORKERS).validate()
+    small_cfg(workers=MAX_WORKERS)
     with pytest.raises(ConfigError, match="workers"):
-        small_cfg(workers=MAX_WORKERS + 1).validate()
+        small_cfg(workers=MAX_WORKERS + 1)
 
 
 def test_import_does_not_load_multiprocessing():
@@ -224,22 +225,21 @@ def test_import_does_not_load_multiprocessing():
 
 
 def test_psi_has_a_ceiling():
-    small_cfg(psi=MAX_PSI).validate()
+    small_cfg(psi=MAX_PSI)
     with pytest.raises(ConfigError, match="psi"):
-        small_cfg(psi=MAX_PSI + 1).validate()
+        small_cfg(psi=MAX_PSI + 1)
 
 
 def test_length_has_a_ceiling_checked_before_any_compute(monkeypatch):
-    small_cfg(lengths=(80, MAX_LENGTH)).validate()
+    small_cfg(lengths=(80, MAX_LENGTH))
 
     def no_compute(*args):
         raise AssertionError("a series was simulated")
 
     monkeypatch.setattr(study, "simulate_fgn_paths", no_compute)
     # the shorter length comes first, yet nothing runs before the long one is refused
-    cfg = small_cfg(lengths=(50, 10**13), variance_cutoffs=None, gph_cutoffs=None)
     with pytest.raises(ConfigError, match=rf"lengths .*\[4, {MAX_LENGTH}\]"):
-        run_study(cfg)
+        run_study(small_cfg(lengths=(50, 10**13), variance_cutoffs=None, gph_cutoffs=None))
 
 
 # Runs a 2-worker study in a pool of the start method given as argv[1]; spawn
@@ -453,11 +453,15 @@ def test_study_builds_no_report_objects(tmp_path, monkeypatch):
     ],
     ids=["default grids", "explicit grids", "one-window grids", "2 workers"],
 )
-def test_manifest_text_is_the_json_encoders(tmp_path, overrides):
-    # the writer reads the grids from the report table; the reference resolves them from the config
+def test_manifest_reruns_the_study(tmp_path, overrides):
+    # the manifest is the config as run: given back as --config, it rewrites every file, itself included
     cfg = small_cfg(**overrides)
-    manifest = write_study_outputs(cfg, run_study(cfg), tmp_path)[-1]
-    assert manifest.read_text() == json.dumps(oracles.manifest_dict(cfg), sort_keys=True, indent=2) + "\n"
+    written = write_study_outputs(cfg, run_study(cfg), tmp_path / "first")
+    again = tmp_path / "again"
+    assert main(["study", "--config", str(written[-1]), "--out-dir", str(again)]) == 0
+    assert sorted(path.name for path in again.iterdir()) == sorted(path.name for path in written)
+    for path in written:
+        assert (again / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def test_writer_resolves_no_grid(tmp_path, monkeypatch):

@@ -153,6 +153,9 @@ def test_config_resolution_rules():
     assert high == 49 and low >= 1
     with pytest.raises(WindowExceedsSeries):
         VariancePlotConfig(n1=1, n2=100).resolve(50)
+    # m * n**delta overflows to inf here; the clamp comes before the ceiling
+    with pytest.warns(RuntimeWarning, match="upper end inf clamped to 999"):
+        assert VariancePlotConfig(delta=0.25, m=1e308).resolve(1000) == (5, 999)
 
 
 def test_config_validation():
@@ -166,6 +169,10 @@ def test_config_validation():
         VariancePlotConfig(delta=1.2, m=2.0)
     with pytest.raises(ValueError):
         VariancePlotConfig(delta=0.3, m=1.0)
+    with pytest.raises(ValueError, match="m must be finite"):
+        VariancePlotConfig(delta=0.3, m=math.inf)
+    with pytest.raises(ValueError, match="m must exceed 1"):
+        VariancePlotConfig(delta=0.3, m=math.nan)
 
 
 @pytest.mark.parametrize("hurst,tag", [(0.7, 0), (0.4, 1)])
