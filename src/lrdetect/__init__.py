@@ -34,12 +34,10 @@ from .fgn import (
 from .gph import (
     GPH_LRD_THRESHOLD,
     GphConfig,
-    Periodogram,
     classify_lrd_gph,
     full_ordinates,
     gph_estimate,
     gph_from_ordinates,
-    periodogram,
 )
 from .series import (
     RegressionFit,
@@ -64,12 +62,10 @@ from .study import (
 )
 from .varplot import (
     VARIANCE_LRD_THRESHOLD,
-    BlockVarianceCurve,
     VariancePlotConfig,
     admissible_delta_bound,
     block_mean_variances,
     classify_lrd_variance,
-    curve_slope,
     variance_plot_slope,
 )
 

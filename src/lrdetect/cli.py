@@ -116,7 +116,7 @@ def _study_config(args) -> tuple[StudyConfig, Path]:
     if args.config is not None:
         try:
             file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:  # JSON text is UTF-8
+        except ValueError as exc:  # not UTF-8, not JSON, or an integer past Python's digit limit
             raise ConfigError(f"{args.config}: not valid JSON: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"{args.config}: expected a JSON object of study settings")

@@ -37,10 +37,6 @@ class QuantileMeasure:
         levels.setflags(write=False)
         object.__setattr__(self, "levels", levels)
 
-    @property
-    def psi(self) -> int:
-        return int(self.levels.size)
-
 
 def draw_levels(psi: int, seed: int) -> QuantileMeasure:
     """psi uniform levels strictly inside (0, 1); a fixed seed yields a fixed

@@ -1,4 +1,5 @@
-"""Spectral-domain log-periodogram regression at Fourier frequencies."""
+"""Spectral-domain log-periodogram (GPH) regression at Fourier frequencies: a series'
+periodogram is one array of ordinates, whose windows ``ols_slope`` fits in logs."""
 
 from __future__ import annotations
 
@@ -43,30 +44,6 @@ class GphConfig:
         return self.trim, self.bandwidth
 
 
-@dataclass(frozen=True)
-class Periodogram:
-    """Ordinates I(lambda_j) at the canonical Fourier frequencies 2*pi*j/n,
-    j = 1..floor((n-1)/2)."""
-
-    frequencies: np.ndarray
-    ordinates: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        freqs = np.asarray(self.frequencies, dtype=np.float64)
-        ords = np.asarray(self.ordinates, dtype=np.float64)
-        if freqs.size != ords.size:
-            raise ValueError("frequencies and ordinates must be equally long")
-        if freqs.size != (self.n - 1) // 2:
-            raise ValueError(f"expected {(self.n - 1) // 2} ordinates for n={self.n}")
-        if np.any(ords < 0):
-            raise ValueError("ordinates must be nonnegative")
-        freqs.setflags(write=False)
-        ords.setflags(write=False)
-        object.__setattr__(self, "frequencies", freqs)
-        object.__setattr__(self, "ordinates", ords)
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def ordinate_rows(values: np.ndarray) -> np.ndarray:
     """Periodogram ordinates I(2*pi*j/n) for every index j = 0..n-1, per row.
@@ -89,25 +66,16 @@ def ordinate_rows(values: np.ndarray) -> np.ndarray:
 
 
 def full_ordinates(x: TimeSeries) -> np.ndarray:
-    """Periodogram ordinates of one series at every index j = 0..n-1."""
-    return ordinate_rows(x.values[None, :])[0]
+    """Periodogram ordinates of one series at every index j = 0..n-1, a read-only
+    array; entries 1..floor((n-1)/2) are the canonical Fourier frequencies."""
+    ordinates = ordinate_rows(x.values[None, :])[0]
+    ordinates.setflags(write=False)
+    return ordinates
 
 
 def gph_regressors(indices: np.ndarray, n: int) -> np.ndarray:
     """Regressors -2*log(lambda_j) of the log-periodogram regression, lambda_j = 2*pi*j/n."""
     return -2.0 * np.log(2.0 * np.pi * indices / n)
-
-
-def periodogram(x: TimeSeries) -> Periodogram:
-    """Periodogram at the canonical Fourier frequencies j = 1..floor((n-1)/2)."""
-    n = x.n
-    ords = full_ordinates(x)
-    count = (n - 1) // 2
-    return Periodogram(
-        frequencies=2.0 * np.pi * np.arange(1, count + 1) / n,
-        ordinates=ords[1 : count + 1],
-        n=n,
-    )
 
 
 def gph_from_ordinates(ordinates: np.ndarray, n: int, cfg: GphConfig) -> RegressionFit:

@@ -14,10 +14,8 @@ import numpy as np
 
 from .errors import WindowExceedsSeries
 from .fgn import FgnParams, uniform_draws
-from .gph import Periodogram
 from .series import TimeSeries
 from .study import _CSV_ROW, CSV_COLUMNS
-from .varplot import BlockVarianceCurve
 
 CovarianceFunction = Callable[[int], float]
 
@@ -41,8 +39,9 @@ def exact_mean_variance(gamma: CovarianceFunction, n: int) -> float:
     return (gamma(0) + 2.0 * math.fsum(terms)) / n
 
 
-def brute_force_dft_periodogram(x: TimeSeries) -> Periodogram:
-    """Literal O(n^2) evaluation of the defining sum; intended for n <= 2048."""
+def brute_force_dft_periodogram(x: TimeSeries) -> np.ndarray:
+    """Literal O(n^2) evaluation of the defining sum at the canonical Fourier
+    frequencies 2*pi*j/n, entry j - 1 for j = 1..floor((n-1)/2); intended for n <= 2048."""
     v = x.values
     n = v.size
     if n < 2:
@@ -54,15 +53,12 @@ def brute_force_dft_periodogram(x: TimeSeries) -> Periodogram:
         lam = 2.0 * np.pi * j / n
         transform = np.sum(v * np.exp(-1j * lam * times))
         ordinates[j - 1] = abs(transform) ** 2 / (2.0 * np.pi * n)
-    return Periodogram(
-        frequencies=2.0 * np.pi * np.arange(1, count + 1) / n,
-        ordinates=ordinates,
-        n=n,
-    )
+    return ordinates
 
 
-def naive_block_variances(x: TimeSeries, n1: int, n2: int) -> BlockVarianceCurve:
-    """Quadratic-time restatement of the block-variance definition."""
+def naive_block_variances(x: TimeSeries, n1: int, n2: int) -> np.ndarray:
+    """Quadratic-time restatement of the block-variance definition, entry i for
+    block length n1 + i."""
     if n1 < 1 or n2 < n1:
         raise ValueError(f"need 1 <= n1 <= n2, got ({n1}, {n2})")
     if n2 > x.n:
@@ -72,7 +68,7 @@ def naive_block_variances(x: TimeSeries, n1: int, n2: int) -> BlockVarianceCurve
     for i, length in enumerate(range(n1, n2 + 1)):
         means = np.array([v[k : k + length].mean() for k in range(x.n - length + 1)])
         out[i] = ((means - means.mean()) ** 2).mean()
-    return BlockVarianceCurve(np.arange(n1, n2 + 1), out)
+    return out
 
 
 def excursion_counts(x, levels) -> np.ndarray:

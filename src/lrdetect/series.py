@@ -45,9 +45,6 @@ class TimeSeries:
     def n(self) -> int:
         return int(self.values.size)
 
-    def __len__(self) -> int:
-        return self.n
-
 
 @dataclass(frozen=True)
 class RegressionFit:

@@ -183,8 +183,9 @@ def replication_seed(master_seed: int, scenario: str, h_index: int, rep_index: i
     return int(_seed_hash(master_seed, _SCENARIO_CODE[scenario], h_index, rep_index))
 
 
-# Echoes a rejected config value cut short: a list shows its first six items
-# and a mapping its first two, so an error never prints a whole grid.
+# Echoes a rejected config value cut short: a list shows its first six items,
+# a mapping its first two and an integer at most 40 characters, so an error
+# never prints a whole grid or a seed of thousands of digits.
 _echo = reprlib.Repr()
 _echo.maxdict = 2
 
@@ -267,15 +268,15 @@ class StudyConfig:
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
         if self.master_seed < 0:
-            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
+            raise ConfigError(f"master_seed must be >= 0, got {_echo.repr(self.master_seed)}")
         if self.level_seed is not None and not 0 <= self.level_seed < 1 << 64:
-            raise ConfigError(f"level_seed must lie in [0, 2**64), got {self.level_seed}")
+            raise ConfigError(f"level_seed must lie in [0, 2**64), got {_echo.repr(self.level_seed)}")
         if not 1 <= self.psi <= MAX_PSI:
-            raise ConfigError(f"psi must lie in [1, {MAX_PSI}], got {self.psi}")
+            raise ConfigError(f"psi must lie in [1, {MAX_PSI}], got {_echo.repr(self.psi)}")
         if not self.alpha > 0:
             raise ConfigError("alpha must be positive")
         if not 1 <= self.workers <= MAX_WORKERS:
-            raise ConfigError(f"workers must lie in [1, {MAX_WORKERS}], got {self.workers}")
+            raise ConfigError(f"workers must lie in [1, {MAX_WORKERS}], got {_echo.repr(self.workers)}")
         grid = self.hurst_grid if self.hurst_grid is not None else default_hurst_grid(self.scenario)
         if not grid or any(not 0.0 < h < 1.0 for h in grid):
             raise ConfigError("hurst_grid must be nonempty with values strictly in (0, 1)")

@@ -1,4 +1,5 @@
-"""Time-domain variance-plot estimator with the consistency-guaranteeing window rule."""
+"""Time-domain variance-plot estimator with the consistency-guaranteeing window rule:
+a series' curve is one array of block-mean variances, fitted in logs by ``ols_slope``."""
 
 from __future__ import annotations
 
@@ -84,31 +85,6 @@ class VariancePlotConfig:
         return low, high
 
 
-@dataclass(frozen=True)
-class BlockVarianceCurve:
-    """Variances of overlapping block means, indexed by block length."""
-
-    lengths: np.ndarray
-    s2: np.ndarray
-
-    def __post_init__(self):
-        lengths = np.asarray(self.lengths, dtype=np.int64)
-        s2 = np.asarray(self.s2, dtype=np.float64)
-        if lengths.size != s2.size or lengths.size < 1:
-            raise ValueError("lengths and s2 must be nonempty and equally long")
-        if not np.all(np.isfinite(s2)) or np.any(s2 < 0):
-            raise ValueError("block variances must be finite and nonnegative")
-        lengths.setflags(write=False)
-        s2.setflags(write=False)
-        object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "s2", s2)
-
-    @property
-    def zero_lengths(self) -> np.ndarray:
-        """Block lengths whose variance is exactly zero (log undefined there)."""
-        return self.lengths[self.s2 == 0.0]
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def block_variance_rows(values: np.ndarray, n1: int, n2: int) -> np.ndarray:
     """Variance of overlapping block means for every block length l in [n1, n2], per row.
@@ -164,38 +140,34 @@ def block_variance_rows(values: np.ndarray, n1: int, n2: int) -> np.ndarray:
     return out
 
 
-def block_mean_variances(x: TimeSeries, n1: int, n2: int) -> BlockVarianceCurve:
-    """Variances of overlapping block means of one series for block lengths n1..n2.
+def block_mean_variances(x: TimeSeries, n1: int, n2: int) -> np.ndarray:
+    """Variances of overlapping block means of one series, a read-only array whose
+    entry i holds block length n1 + i.
 
-    A variance that overflows the float range raises OverflowValue naming its block lengths.
+    Every entry is finite and nonnegative: a variance that overflows the float
+    range raises OverflowValue naming its block lengths.
     """
-    lengths = np.arange(n1, n2 + 1)
     s2 = block_variance_rows(x.values[None, :], n1, n2)[0]
-    overflowing = ~np.isfinite(s2)
-    if overflowing.any():
-        raise OverflowValue(
-            f"overflowing (non-finite) block variance at block lengths {lengths[overflowing].tolist()}"
-        )
-    return BlockVarianceCurve(lengths, s2)
-
-
-def curve_slope(curve: BlockVarianceCurve) -> RegressionFit:
-    """Least-squares slope of log variance against log block length."""
-    if curve.zero_lengths.size:
-        raise DegenerateBlockVariance(
-            f"zero block variance at lengths {curve.zero_lengths.tolist()}"
-        )
-    return ols_slope(np.log(curve.lengths), np.log(curve.s2))
+    overflowing = n1 + np.flatnonzero(~np.isfinite(s2))
+    if overflowing.size:
+        raise OverflowValue(f"overflowing (non-finite) block variance at block lengths {overflowing.tolist()}")
+    s2.setflags(write=False)
+    return s2
 
 
 def variance_plot_slope(x: TimeSeries, cfg: VariancePlotConfig) -> RegressionFit:
-    """Slope of the variance plot over the configured window.
+    """Least-squares slope of log block variance against log block length over the
+    configured window; a zero variance there raises DegenerateBlockVariance.
 
     The slope estimates 2D - 1, where D is the memory parameter governing the
     decay of the sample mean's variance.
     """
     n1, n2 = cfg.resolve(x.n)
-    return curve_slope(block_mean_variances(x, n1, n2))
+    s2 = block_mean_variances(x, n1, n2)
+    zero = n1 + np.flatnonzero(s2 == 0.0)
+    if zero.size:
+        raise DegenerateBlockVariance(f"zero block variance at lengths {zero.tolist()}")
+    return ols_slope(np.log(np.arange(n1, n2 + 1)), np.log(s2))
 
 
 def admissible_delta_bound(theta: float) -> float:

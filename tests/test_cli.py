@@ -397,8 +397,10 @@ def test_study_allows_repeated_hurst_values(tmp_path, capsys):
         (None, ["--scale", "0.0004"], "scale must give at least 1 replication"),
         ('{"lengths": [50]}\udcff', ["--scale", "0.1"],
          "{config}: not valid JSON: 'utf-8' codec can't decode byte 0xff"),
+        # json.loads refuses an integer past Python's 4,300-digit limit with a plain ValueError
+        ('{"level_seed": ' + "9" * 5000 + "}", ["--scale", "0.1"], "{config}: not valid JSON: "),
     ],
-    ids=["malformed-json", "scale-rounds-to-zero", "not-utf-8"],
+    ids=["malformed-json", "scale-rounds-to-zero", "not-utf-8", "integer-past-digit-limit"],
 )
 def test_study_input_errors_name_what_was_given(tmp_path, capsys, monkeypatch, config, flags, message):
     def no_compute(cfg):
@@ -496,6 +498,86 @@ def test_rank_checks_k_before_opening_a_file(tmp_path, capsys):
     missing = tmp_path / "results_fgn_n50.csv"
     assert main(["rank", str(missing), "-k", "0"]) == 1
     assert capsys.readouterr().err == "error: -k must be >= 1, got 0\n"
+
+
+_HUGE = "9" * 4000
+
+
+@pytest.mark.parametrize(
+    "config,argv,name",
+    [
+        ({"level_seed": int(_HUGE)}, ["study", "--workers", "1"], "level_seed"),
+        (None, ["study", "--workers", _HUGE], "workers"),
+        (None, ["estimate", "x.csv", "--quantile-transform", "10", "--level-seed", _HUGE], "--level-seed"),
+    ],
+    ids=["study-level-seed", "study-workers", "estimate-level-seed"],
+)
+def test_range_errors_echo_a_long_value_cut_short(tmp_path, capsys, monkeypatch, config, argv, name):
+    monkeypatch.chdir(tmp_path)
+    Path("x.csv").write_text("value\n" + "".join(f"{v}\n" for v in range(20)))
+    if argv[0] == "study":
+        argv = [*argv, "--seed", "1", "--scale", "0.001", "--scenario", "fgn", "--out-dir", "out"]
+    else:
+        argv = [*argv, "--estimator", "variance", "--n1", "1", "--n2", "4"]
+    if config is not None:
+        Path("study.json").write_text(json.dumps(config))
+        argv += ["--config", "study.json"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and name in captured.err and len(captured.err) < 200
+    assert "..." in captured.err and _HUGE not in captured.err
+    assert not Path("out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (["study", "--seed", "1", "--scale", "0.001", "--scenario", "fgn", "--out-dir", "out", "--workers", "65"],
+         "error: workers must lie in [1, 64], got 65\n"),
+        (["estimate", "x.csv", "--estimator", "variance", "--n1", "1", "--n2", "4",
+          "--quantile-transform", "10", "--level-seed", "-1"],
+         "error: --level-seed: level seed must lie in [0, 2**64), got -1\n"),
+    ],
+    ids=["study-workers", "estimate-level-seed"],
+)
+def test_range_errors_echo_a_short_value_whole(tmp_path, capsys, monkeypatch, argv, err):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == err
+
+
+# estimate's exit code, stdout and stderr, recorded, on the README's series (r000
+# of `simulate --scenario fgn --hurst 0.7 --length 200 --seed 42`) and on a
+# constant one, whose ordinates are exact zeros; perfbench's cli-long check
+# recomputes its expected output through the estimators, so only these pin it.
+_PINNED_ESTIMATES = [
+    ("readme", ["--estimator", "variance", "--n1", "1", "--n2", "4"], 0,
+     "estimator variance window 1 4\nslope -0.694169\nlabel LRD\n", ""),
+    ("readme", ["--estimator", "gph", "--trim", "1", "--bandwidth", "141"], 0,
+     "estimator gph window 1 141\nd 0.188247\nlabel LRD\n", ""),
+    ("readme", ["--estimator", "variance", "--delta", "0.25", "--m", "4"], 0,
+     "estimator variance window 3 16\nslope -0.849790\nlabel LRD\n", ""),
+    ("constant", ["--estimator", "variance", "--n1", "1", "--n2", "4"], 1,
+     "", "error: zero block variance at lengths [1, 2, 3, 4]\n"),
+    ("constant", ["--estimator", "gph", "--trim", "1", "--bandwidth", "20"], 1,
+     "", f"error: zero ordinate at frequency indices {list(range(1, 21))}\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "series,flags,code,out,err",
+    _PINNED_ESTIMATES,
+    ids=["variance", "gph", "variance-scaled", "zero-variance", "zero-ordinate"],
+)
+def test_estimate_output_is_pinned(tmp_path, capsys, series, flags, code, out, err):
+    simulate = ["simulate", "--scenario", "fgn", "--hurst", "0.7", "--length", "200", "--seed", "42"]
+    assert main([*simulate, "--out-dir", str(tmp_path)]) == 0
+    (tmp_path / "constant.csv").write_text("value\n" + "1.0\n" * 200)
+    capsys.readouterr()
+    path = tmp_path / ("fgn_h0.7000_r000.csv" if series == "readme" else "constant.csv")
+    assert main(["estimate", str(path), *flags]) == code
+    assert capsys.readouterr() == (out, err)
 
 
 def test_estimate_checks_gph_bandwidth_before_the_periodogram(tmp_path, capsys, monkeypatch):

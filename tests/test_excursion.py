@@ -173,4 +173,4 @@ def test_draw_levels_fixed_panel():
     b = draw_levels(100, 5)
     assert np.array_equal(a.levels, b.levels)
     assert np.all((a.levels > 0.0) & (a.levels < 1.0))
-    assert a.psi == 100
+    assert a.levels.size == 100

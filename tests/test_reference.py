@@ -38,8 +38,7 @@ def _assert_matches(slope, reference, window):
 
 
 def _variance_reference(x, n1, n2):
-    curve = block_mean_variances(x, n1, n2)
-    return ols_slope(np.log(curve.lengths.astype(np.float64)), np.log(curve.s2))
+    return ols_slope(np.log(np.arange(n1, n2 + 1)), np.log(block_mean_variances(x, n1, n2)))
 
 
 def _gph_reference(ordinates, n, trim, bandwidth):

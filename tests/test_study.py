@@ -47,10 +47,9 @@ def _labels(grid, logs, threshold):
 def _variance_labels(series, grid):
     """Study labels per variance window through WindowGrid."""
     lmin, lmax = int(grid[:, 0].min()), int(grid[:, 1].max())
-    curve = block_mean_variances(series, lmin, lmax)
     with np.errstate(divide="ignore"):
-        logs = np.log(curve.s2)
-    return _labels(WindowGrid(np.log(curve.lengths.astype(np.float64)), grid - lmin), logs, -1.0)
+        logs = np.log(block_mean_variances(series, lmin, lmax))
+    return _labels(WindowGrid(np.log(np.arange(lmin, lmax + 1)), grid - lmin), logs, -1.0)
 
 
 def _gph_labels(series, grid, ordinates):

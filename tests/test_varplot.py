@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from lrdetect import (
-    BlockVarianceCurve,
     DegenerateBlockVariance,
     FgnParams,
     OutOfRangeTheta,
@@ -14,7 +13,6 @@ from lrdetect import (
     admissible_delta_bound,
     block_mean_variances,
     classify_lrd_variance,
-    curve_slope,
     fgn_autocovariance,
     ols_slope,
     replication_seed,
@@ -32,20 +30,20 @@ def fit_with_slope(slope):
 
 def test_block_variance_hand_example():
     curve = block_mean_variances(TimeSeries([1.0, 2.0, 3.0]), 2, 2)
-    assert curve.s2[0] == 0.25  # block means 1.5, 2.5 around 2
+    assert curve.tolist() == [0.25]  # block means 1.5, 2.5 around 2
+    assert curve.dtype == np.float64 and not curve.flags.writeable
 
 
 def test_block_variance_length_one_is_population_variance():
     curve = block_mean_variances(TimeSeries([1.0, 2.0, 3.0, 4.0]), 1, 1)
-    assert curve.s2[0] == 1.25
+    assert curve[0] == 1.25
 
 
 def test_block_variance_constant_series_is_zero():
     curve = block_mean_variances(TimeSeries([3.0] * 50), 1, 10)
-    assert np.all(curve.s2 == 0.0)
-    assert curve.zero_lengths.tolist() == list(range(1, 11))
-    with pytest.raises(DegenerateBlockVariance):
-        curve_slope(curve)
+    assert np.all(curve == 0.0)
+    with pytest.raises(DegenerateBlockVariance, match=r"^zero block variance at lengths \[1, 2, 3, 4, 5, 6, 7, 8, 9, 10\]$"):
+        variance_plot_slope(TimeSeries([3.0] * 50), VariancePlotConfig(n1=1, n2=10))
 
 
 def test_block_variance_window_validation():
@@ -77,16 +75,15 @@ def test_block_variances_match_naive_oracle_at_every_length(kind):
     for _ in range(40 if kind == "periodic" else 12):
         n = int(rng.integers(4, 301))
         x = TimeSeries(_kernel_input(kind, n, rng))
-        fast = block_mean_variances(x, 1, n - 1).s2
-        slow = naive_block_variances(x, 1, n - 1).s2
+        fast = block_mean_variances(x, 1, n - 1)
+        slow = naive_block_variances(x, 1, n - 1)
         assert np.array_equal(fast == 0.0, slow == 0.0), n
         np.testing.assert_allclose(fast, slow, rtol=1e-9, atol=0, err_msg=f"n={n}")
 
 
 def test_injected_power_law_recovers_slope():
     lengths = np.arange(1, 51)
-    curve = BlockVarianceCurve(lengths, 3.7 * lengths ** -0.6)
-    fit = curve_slope(curve)
+    fit = ols_slope(np.log(lengths), np.log(3.7 * lengths ** -0.6))
     assert abs(fit.slope - (-0.6)) < 1e-10
 
 
@@ -126,7 +123,7 @@ def test_shift_invariance():
     base = block_mean_variances(TimeSeries(x), 1, 20)
     for shift in (10.0, -250.0):
         shifted = block_mean_variances(TimeSeries(x + shift), 1, 20)
-        assert np.all(np.abs(shifted.s2 - base.s2) <= 1e-9)
+        assert np.all(np.abs(shifted - base) <= 1e-9)
 
 
 def test_scale_equivariance_and_affine_classification():
@@ -137,7 +134,7 @@ def test_scale_equivariance_and_affine_classification():
     base_fit = variance_plot_slope(TimeSeries(x), cfg)
     for a, c in ((2.5, 0.0), (-3.0, 7.0), (0.02, -1.0)):
         curve = block_mean_variances(TimeSeries(a * x + c), 1, 20)
-        assert np.allclose(curve.s2, a * a * base_curve.s2, rtol=1e-9, atol=0)
+        assert np.allclose(curve, a * a * base_curve, rtol=1e-9, atol=0)
         fit = variance_plot_slope(TimeSeries(a * x + c), cfg)
         assert abs(fit.slope - base_fit.slope) < 1e-9
         assert classify_lrd_variance(fit) == classify_lrd_variance(base_fit)
@@ -184,7 +181,7 @@ def test_expected_block_variance_matches_oracle(hurst, tag):
     curves = np.empty((reps, 10))
     for r in range(reps):
         s = simulate_fgn(p, replication_seed(4242, "fgn", tag, r))
-        curves[r] = block_mean_variances(s, 1, 10).s2
+        curves[r] = block_mean_variances(s, 1, 10)
     mean_curve = curves.mean(axis=0)
     se = curves.std(axis=0, ddof=1) / math.sqrt(reps)
     for i, length in enumerate(range(1, 11)):
