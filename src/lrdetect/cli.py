@@ -9,10 +9,10 @@ import math
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, LrdetectError
-from .excursion import MAX_PSI, QuantileMeasure, draw_levels, resolve_quantiles, transform_series
+from .errors import ConfigError, LrdetectError, echo
+from .excursion import MAX_PSI, QuantileMeasure, draw_levels, fit_series
 from .fgn import FgnParams, SubordinationParams, simulate_fgn, subordinate
-from .gph import GphConfig, classify_lrd_gph, gph_estimate
+from .gph import GphConfig
 from .series import read_series_csv, write_series_csv
 from .study import (
     StudyConfig,
@@ -23,18 +23,14 @@ from .study import (
     run_study,
     write_study_outputs,
 )
-from .varplot import (
-    VariancePlotConfig,
-    classify_lrd_variance,
-    variance_plot_slope,
-)
+from .varplot import VariancePlotConfig
 
 
 def _cmd_simulate(args) -> int:
     if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        raise ConfigError(f"--seed must be >= 0, got {echo.repr(args.seed)}")
     if args.count < 1:
-        raise ConfigError(f"--count must be >= 1, got {args.count}")
+        raise ConfigError(f"--count must be >= 1, got {echo.repr(args.count)}")
     params = FgnParams(hurst=args.hurst, n=args.length, sigma2=args.sigma2)
     # provenance sidecar: how each CSV's series was made; the seed is added per file
     record = {"model": args.scenario, "hurst": params.hurst, "sigma2": params.sigma2, "n": params.n}
@@ -74,7 +70,9 @@ def _estimate_config(args) -> tuple[VariancePlotConfig | GphConfig, QuantileMeas
     levels = None
     if args.quantile_transform is not None:
         if not 1 <= args.quantile_transform <= MAX_PSI:
-            raise ConfigError(f"--quantile-transform: psi must lie in [1, {MAX_PSI}], got {args.quantile_transform}")
+            raise ConfigError(
+                f"--quantile-transform: psi must lie in [1, {MAX_PSI}], got {echo.repr(args.quantile_transform)}"
+            )
         try:
             levels = draw_levels(args.quantile_transform, args.level_seed)
         except ValueError as exc:  # the level seed lies outside [0, 2**64)
@@ -85,33 +83,20 @@ def _estimate_config(args) -> tuple[VariancePlotConfig | GphConfig, QuantileMeas
 
 def _cmd_estimate(args) -> int:
     config, levels = _estimate_config(args)
-    series = read_series_csv(args.input)
-    # the window printed, and checked against the series before any transform
-    low, high = config.resolve(series.n)
-    if levels is not None:
-        series = transform_series(series, resolve_quantiles(series, levels))
-    if isinstance(config, VariancePlotConfig):
-        fit = variance_plot_slope(series, VariancePlotConfig(n1=low, n2=high))
-        print(f"estimator variance window {low} {high}")
-        print(f"slope {fit.slope:.6f}")
-        print(f"label {classify_lrd_variance(fit)}")
-    else:
-        fit = gph_estimate(series, config)
-        print(f"estimator gph window {low} {high}")
-        print(f"d {fit.slope:.6f}")
-        print(f"label {classify_lrd_gph(fit)}")
+    (low, high), fit, label = fit_series(read_series_csv(args.input), config, levels)
+    print(f"estimator {args.estimator} window {low} {high}")
+    print(f"{'d' if args.estimator == 'gph' else 'slope'} {fit.slope:.6f}")
+    print(f"label {label}")
     return 0
 
 
 # Keys a study JSON config may hold; anything else is a typo, not a default.
-STUDY_CONFIG_KEYS = frozenset(
-    [field.name for field in dataclasses.fields(StudyConfig)] + ["seed", "scale", "out_dir"]
-)
+STUDY_CONFIG_KEYS = frozenset([field.name for field in dataclasses.fields(StudyConfig)] + ["out_dir"])
 
 
 def _study_config(args) -> tuple[StudyConfig, Path]:
     """Merge the JSON config with the flags (flags win).  StudyConfig receives only
-    the values given there, plus the CLI's own defaults for replications and lengths."""
+    the values given there, plus the CLI's default lengths."""
     file_cfg = {}
     if args.config is not None:
         try:
@@ -123,38 +108,22 @@ def _study_config(args) -> tuple[StudyConfig, Path]:
         unknown = sorted(set(file_cfg) - STUDY_CONFIG_KEYS)
         if unknown:
             raise ConfigError(f"{args.config}: unknown study setting(s): {', '.join(unknown)}")
-        if "seed" in file_cfg:
-            if "master_seed" in file_cfg:
-                raise ConfigError(f"{args.config}: give either seed or master_seed, not both")
-            file_cfg["master_seed"] = file_cfg.pop("seed")
     # the study flags' argparse destinations are config keys
     flags = {k: v for k, v in vars(args).items() if k in STUDY_CONFIG_KEYS and v is not None}
-    if "seed" in flags:
-        flags["master_seed"] = flags.pop("seed")
     settings = {**file_cfg, **flags}
     required = {
         "seed": "master_seed",
-        "scale": "scale",
+        "replications": "replications",
         "scenario": "scenario",
         "out-dir": "out_dir",
         "workers": "workers",
     }
-    if settings.get("replications") is not None:
-        del required["scale"]  # a given replications count wins over scale
     missing = [flag for flag, key in required.items() if settings.get(key) is None]
     if missing:
         raise ConfigError(f"missing required study settings: {', '.join(missing)}")
-    scale = settings.pop("scale", None)
-    if scale is not None:
-        if isinstance(scale, bool) or not isinstance(scale, (int, float)) or not 0 < scale < math.inf:
-            raise ConfigError(f"scale must be a positive number, got {scale!r}")
-        if "replications" not in settings:
-            settings["replications"] = round(1000 * scale)
-            if settings["replications"] < 1:
-                raise ConfigError(f"scale must give at least 1 replication (1000 * scale rounds to 0), got {scale!r}")
     out_dir = settings.pop("out_dir")
     if not isinstance(out_dir, str):
-        raise ConfigError(f"out_dir must be a path, got {out_dir!r}")
+        raise ConfigError(f"out_dir must be a path, got {echo.repr(out_dir)}")
     lengths = settings.setdefault("lengths", (50, 100, 200, 500))
     if isinstance(lengths, str):
         tokens = [tok.strip() for tok in lengths.split(",") if tok.strip()]
@@ -177,7 +146,7 @@ def _format_percent(value: float) -> str:
 
 def _cmd_rank(args) -> int:
     if args.k < 1:
-        raise ConfigError(f"-k must be >= 1, got {args.k}")
+        raise ConfigError(f"-k must be >= 1, got {echo.repr(args.k)}")
     table = StudyReports(block for path in args.results for block in read_report_csv(path).blocks)
     if len(table) == 0:
         raise ConfigError("no rows found in the given results files")
@@ -230,8 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_study = sub.add_parser("study", help="run the Monte Carlo classification study")
     p_study.add_argument("--config", help="JSON file with study settings")
-    p_study.add_argument("--seed", type=int)
-    p_study.add_argument("--scale", type=float, help="fraction of 1000 replications per Hurst value")
+    p_study.add_argument("--seed", type=int, dest="master_seed")
     p_study.add_argument("--scenario", choices=("fgn", "subordinated-fgn"))
     p_study.add_argument("--out-dir")
     p_study.add_argument("--workers", type=int)

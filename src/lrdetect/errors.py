@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one echo of a rejected value."""
+
+import reprlib
+
+# Echoes a rejected value cut short: a list shows its first six items, a
+# mapping its first two and an integer at most 40 characters, so an error
+# never prints a whole grid or a number of thousands of digits.
+echo = reprlib.Repr()
+echo.maxdict = 2
 
 
 class LrdetectError(Exception):

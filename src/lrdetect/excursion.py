@@ -13,7 +13,7 @@ import numpy as np
 
 from .fgn import uniform_draws
 from .gph import GphConfig, classify_lrd_gph, gph_estimate
-from .series import TimeSeries
+from .series import RegressionFit, TimeSeries
 from .varplot import VariancePlotConfig, classify_lrd_variance, variance_plot_slope
 
 # Largest accepted number of quantile levels.  Each level costs memory in the
@@ -86,6 +86,27 @@ def transform_series(x: TimeSeries, thresholds) -> TimeSeries:
     return TimeSeries(_exceedance_shares(x.values[None, :], np.sort(thresholds)[None, :])[0])
 
 
+def fit_series(
+    x: TimeSeries,
+    estimator: VariancePlotConfig | GphConfig,
+    q: QuantileMeasure | None = None,
+) -> tuple[tuple[int, int], RegressionFit, str]:
+    """The single-series detector: the window, the fit and the LRD label.
+
+    The window is resolved against the length of x before anything else, so a
+    window that does not fit fails before any transform or periodogram.  With
+    q, x is first mapped to its excursion counts against its own quantiles.
+    """
+    window = estimator.resolve(x.n)
+    if q is not None:
+        x = transform_series(x, resolve_quantiles(x, q))
+    if isinstance(estimator, VariancePlotConfig):
+        fit = variance_plot_slope(x, VariancePlotConfig(*window))
+        return window, fit, classify_lrd_variance(fit)
+    fit = gph_estimate(x, estimator)
+    return window, fit, classify_lrd_gph(fit)
+
+
 def ie_pipeline(
     x: TimeSeries,
     q: QuantileMeasure,
@@ -97,9 +118,4 @@ def ie_pipeline(
     strict inequality, the returned label is exactly invariant under strictly
     increasing transforms of the input.
     """
-    transformed = transform_series(x, resolve_quantiles(x, q))
-    if isinstance(estimator, VariancePlotConfig):
-        return classify_lrd_variance(variance_plot_slope(transformed, estimator))
-    if isinstance(estimator, GphConfig):
-        return classify_lrd_gph(gph_estimate(transformed, estimator))
-    raise TypeError(f"unsupported estimator config: {type(estimator).__name__}")
+    return fit_series(x, estimator, q)[2]

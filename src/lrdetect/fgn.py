@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import math
-import reprlib
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from numpy.random import Philox
 
-from .errors import EmbeddingFailure, OverflowValue
+from .errors import EmbeddingFailure, OverflowValue, echo
 from .series import TimeSeries
 
 # Eigenvalues of the covariance circulant may dip this far below zero
@@ -115,7 +114,7 @@ class FgnParams:
         if not 0.0 < self.hurst < 1.0:
             raise ValueError(f"hurst must lie in (0, 1), got {self.hurst}")
         if not 1 <= self.n <= MAX_LENGTH:
-            raise ValueError(f"length must lie in [1, {MAX_LENGTH}], got {self.n}")
+            raise ValueError(f"length must lie in [1, {MAX_LENGTH}], got {echo.repr(self.n)}")
         if not 0.0 < self.sigma2 < math.inf:
             raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
 
@@ -195,7 +194,7 @@ def uniform_draws(seeds, size: int, name: str = "seed") -> np.ndarray:
     seeds = [int(seed) for seed in seeds]
     for seed in seeds:
         if not 0 <= seed < 1 << 64:
-            raise ValueError(f"{name} must lie in [0, 2**64), got {reprlib.repr(seed)}")
+            raise ValueError(f"{name} must lie in [0, 2**64), got {echo.repr(seed)}")
     bits = Philox(key=0)
     state = bits.state  # zero counter, empty buffer: a fresh generator's state
     out = np.empty((len(seeds), size))

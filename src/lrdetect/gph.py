@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OverflowValue, WindowExceedsSeries, ZeroPeriodogramOrdinate
+from .errors import OverflowValue, WindowExceedsSeries, ZeroPeriodogramOrdinate, echo
 from .series import RegressionFit, TimeSeries, ols_slope
 
 # A GPH estimate of d above this value means LRD.
@@ -30,17 +30,15 @@ class GphConfig:
 
     def __post_init__(self):
         if self.trim < 1:
-            raise ValueError(f"trim must be >= 1, got {self.trim}")
+            raise ValueError(f"trim must be >= 1, got {echo.repr(self.trim)}")
         if self.bandwidth < self.trim + 1:
-            raise ValueError(
-                f"bandwidth must exceed trim, got ({self.trim}, {self.bandwidth})"
-            )
+            raise ValueError(f"bandwidth must exceed trim, got {echo.repr((self.trim, self.bandwidth))}")
 
     def resolve(self, n: int) -> tuple[int, int]:
         """Concrete (trim, bandwidth) for a series of length n; bandwidth <= n - 1,
         the highest Fourier index below n."""
         if self.bandwidth > n - 1:
-            raise WindowExceedsSeries(f"bandwidth {self.bandwidth} exceeds n - 1 = {n - 1}")
+            raise WindowExceedsSeries(f"bandwidth {echo.repr(self.bandwidth)} exceeds n - 1 = {n - 1}")
         return self.trim, self.bandwidth
 
 

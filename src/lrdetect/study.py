@@ -16,7 +16,6 @@ import math
 import numbers
 import operator
 import os
-import reprlib
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import partial
@@ -24,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, WindowExceedsSeries
+from .errors import ConfigError, WindowExceedsSeries, echo
 from .excursion import MAX_PSI, QuantileMeasure, draw_levels, excursion_rows
 from .fgn import MAX_LENGTH, FgnParams, simulate_fgn_paths
 from .gph import GPH_LRD_THRESHOLD, GphConfig, gph_regressors, ordinate_rows
@@ -43,6 +42,10 @@ _GPH_GRID_POINTS = 50  # endpoints per axis that the default GPH grid's stride a
 
 # Largest accepted worker count; the pool itself never exceeds the CPU count.
 MAX_WORKERS = 64
+
+# Largest accepted replication count per Hurst value: 1,000 times the paper's
+# full-scale study, 48 million series at the default grids.
+MAX_REPLICATIONS = 10**6
 
 # Metric CSV columns, fixed so study outputs are machine-comparable.
 CSV_COLUMNS = (
@@ -183,35 +186,28 @@ def replication_seed(master_seed: int, scenario: str, h_index: int, rep_index: i
     return int(_seed_hash(master_seed, _SCENARIO_CODE[scenario], h_index, rep_index))
 
 
-# Echoes a rejected config value cut short: a list shows its first six items,
-# a mapping its first two and an integer at most 40 characters, so an error
-# never prints a whole grid or a seed of thousands of digits.
-_echo = reprlib.Repr()
-_echo.maxdict = 2
-
-
 def _integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, got {_echo.repr(value)}")
+        raise ConfigError(f"{name} must be an integer, got {echo.repr(value)}")
     return int(value)
 
 
 def _real(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name} must be a number, got {_echo.repr(value)}")
+        raise ConfigError(f"{name} must be a number, got {echo.repr(value)}")
     return float(value)
 
 
 def _items(name: str, value, item) -> tuple:
     if isinstance(value, (str, bytes, Mapping)) or not isinstance(value, Iterable):
-        raise ConfigError(f"{name} must be a list, got {_echo.repr(value)}")
+        raise ConfigError(f"{name} must be a list, got {echo.repr(value)}")
     return tuple(item(name, v) for v in value)
 
 
 def _pair(name: str, value) -> tuple[int, int]:
     pair = _items(name, value, _integer)
     if len(pair) != 2:
-        raise ConfigError(f"{name} entries must be [low, high] pairs, got {_echo.repr(value)}")
+        raise ConfigError(f"{name} entries must be [low, high] pairs, got {echo.repr(value)}")
     return pair
 
 
@@ -219,7 +215,7 @@ def _no_repeats(name: str, values: tuple) -> None:
     seen = set()
     for value in values:
         if value in seen:
-            raise ConfigError(f"{name} repeats {value}")
+            raise ConfigError(f"{name} repeats {echo.repr(value)}")
         seen.add(value)
 
 
@@ -260,23 +256,23 @@ class StudyConfig:
             if getattr(self, name) is not None:
                 fix(name, _items(name, getattr(self, name), _pair))
         if self.scenario not in SCENARIOS:
-            raise ConfigError(f"unknown scenario {self.scenario!r}")
+            raise ConfigError(f"unknown scenario {echo.repr(self.scenario)}")
         if not self.lengths or any(not 4 <= n <= MAX_LENGTH for n in self.lengths):
             raise ConfigError(f"lengths must be a nonempty list of integers in [4, {MAX_LENGTH}]")
         # a repeated length or window would count its series or write its row twice
         _no_repeats("lengths", self.lengths)
-        if self.replications < 1:
-            raise ConfigError("replications must be >= 1")
+        if not 1 <= self.replications <= MAX_REPLICATIONS:
+            raise ConfigError(f"replications must lie in [1, {MAX_REPLICATIONS}], got {echo.repr(self.replications)}")
         if self.master_seed < 0:
-            raise ConfigError(f"master_seed must be >= 0, got {_echo.repr(self.master_seed)}")
+            raise ConfigError(f"master_seed must be >= 0, got {echo.repr(self.master_seed)}")
         if self.level_seed is not None and not 0 <= self.level_seed < 1 << 64:
-            raise ConfigError(f"level_seed must lie in [0, 2**64), got {_echo.repr(self.level_seed)}")
+            raise ConfigError(f"level_seed must lie in [0, 2**64), got {echo.repr(self.level_seed)}")
         if not 1 <= self.psi <= MAX_PSI:
-            raise ConfigError(f"psi must lie in [1, {MAX_PSI}], got {_echo.repr(self.psi)}")
+            raise ConfigError(f"psi must lie in [1, {MAX_PSI}], got {echo.repr(self.psi)}")
         if not self.alpha > 0:
             raise ConfigError("alpha must be positive")
         if not 1 <= self.workers <= MAX_WORKERS:
-            raise ConfigError(f"workers must lie in [1, {MAX_WORKERS}], got {_echo.repr(self.workers)}")
+            raise ConfigError(f"workers must lie in [1, {MAX_WORKERS}], got {echo.repr(self.workers)}")
         grid = self.hurst_grid if self.hurst_grid is not None else default_hurst_grid(self.scenario)
         if not grid or any(not 0.0 < h < 1.0 for h in grid):
             raise ConfigError("hurst_grid must be nonempty with values strictly in (0, 1)")
@@ -294,7 +290,7 @@ class StudyConfig:
                     for n in self.lengths:
                         config.resolve(n)
                 except (ValueError, WindowExceedsSeries) as exc:
-                    raise ConfigError(f"{name} pair {pair} invalid: {exc}") from None
+                    raise ConfigError(f"{name} pair {echo.repr(pair)} invalid: {exc}") from None
 
     def resolved_level_seed(self) -> int:
         if self.level_seed is not None:

@@ -14,6 +14,7 @@ from .errors import (
     OutOfRangeTheta,
     OverflowValue,
     WindowExceedsSeries,
+    echo,
 )
 from .series import RegressionFit, TimeSeries, ols_slope
 
@@ -45,7 +46,7 @@ class VariancePlotConfig:
             if self.n1 is None or self.n2 is None:
                 raise ValueError("both n1 and n2 are required")
             if self.n1 < 1 or self.n2 <= self.n1:
-                raise ValueError(f"need 1 <= n1 < n2, got ({self.n1}, {self.n2})")
+                raise ValueError(f"need 1 <= n1 < n2, got {echo.repr((self.n1, self.n2))}")
         else:
             if self.delta is None or self.m is None:
                 raise ValueError("both delta and m are required")
@@ -64,7 +65,7 @@ class VariancePlotConfig:
         """
         if self.n1 is not None:
             if self.n2 > n:
-                raise WindowExceedsSeries(f"n2={self.n2} exceeds series length {n}")
+                raise WindowExceedsSeries(f"n2={echo.repr(self.n2)} exceeds series length {n}")
             return self.n1, self.n2
         root = n**self.delta
         low = max(1, math.floor(root))
@@ -83,6 +84,23 @@ class VariancePlotConfig:
                 f"resolved window [{low}, {high}] has fewer than 2 block lengths"
             )
         return low, high
+
+
+# Elements per BLAS dot product.  OpenBLAS threads a ddot above 10,000
+# elements, which changes its summation order; longer rows are dotted in
+# pieces of this size, summed in order, so no bit depends on the thread count.
+_DOT_PIECE = 8192
+
+
+def _row_squares(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Each row's sum of squares into ``out`` of shape (rows, 1, 1): stacked row
+    dot products, each bit-identical to one ddot per piece of the row."""
+    head = rows[:, :_DOT_PIECE]
+    np.matmul(head[:, None, :], head[:, :, None], out=out)
+    for start in range(_DOT_PIECE, rows.shape[1], _DOT_PIECE):
+        piece = rows[:, start : start + _DOT_PIECE]
+        out += piece[:, None, :] @ piece[:, :, None]
+    return out
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -126,8 +144,7 @@ def block_variance_rows(values: np.ndarray, n1: int, n2: int) -> np.ndarray:
         np.subtract(flat_prefix[length:], flat_prefix[:-length], out=flat[:-length])
         blocks = buffer[:, :count]
         np.add.reduce(blocks, axis=1, out=sums[i])
-        # stacked row dot products: bit-identical to one ddot per row
-        np.matmul(blocks[:, None, :], blocks[:, :, None], out=squares[i])
+        _row_squares(blocks, out=squares[i])
     sums, squares = sums.T, squares[:, :, 0, 0].T
     spread = squares - sums**2 / counts
     out = spread / (counts * lengths**2.0)
@@ -136,7 +153,7 @@ def block_variance_rows(values: np.ndarray, n1: int, n2: int) -> np.ndarray:
         length, count, flagged = n1 + i, counts[i], np.flatnonzero(redo[:, i])
         means = (prefix[flagged, length:] - prefix[flagged, :-length]) / length
         deviations = means - np.add.reduce(means, axis=1, keepdims=True) / count
-        out[flagged, i] = (deviations[:, None, :] @ deviations[:, :, None])[:, 0, 0] / count
+        out[flagged, i] = _row_squares(deviations, np.empty((flagged.size, 1, 1)))[:, 0, 0] / count
     return out
 
 

@@ -236,8 +236,8 @@ def test_study_with_config_file_and_overrides(tmp_path, capsys):
             str(cfg_path),
             "--seed",
             "5",
-            "--scale",
-            "0.004",
+            "--replications",
+            "3",
             "--scenario",
             "fgn",
             "--out-dir",
@@ -252,7 +252,7 @@ def test_study_with_config_file_and_overrides(tmp_path, capsys):
     assert results.exists() and manifest.exists()
     recorded = json.loads(manifest.read_text())
     assert recorded["master_seed"] == 5
-    assert recorded["replications"] == 4  # explicit config wins over scale
+    assert recorded["replications"] == 3  # the flag wins over the config
     assert recorded["variance_cutoffs"] == [[1, 5], [2, 9]]
     capsys.readouterr()
     assert main(["rank", str(results), "-k", "3"]) == 0
@@ -261,18 +261,11 @@ def test_study_with_config_file_and_overrides(tmp_path, capsys):
     assert lines[0].split()[0] == "estimator"
 
 
-def test_study_replications_make_scale_optional(tmp_path):
-    out_dir = tmp_path / "o"
-    argv = ["study", "--seed", "1", "--scenario", "fgn", "--out-dir", str(out_dir), "--workers", "1"]
-    assert main([*argv, "--replications", "2", "--lengths", "50"]) == 0
-    assert json.loads((out_dir / "manifest_fgn.json").read_text())["replications"] == 2
-
-
 def test_study_missing_required_settings(tmp_path, capsys):
-    code = main(["study", "--seed", "1", "--scale", "0.1", "--workers", "1"])
+    code = main(["study", "--seed", "1", "--workers", "1"])
     assert code == 1
     err = capsys.readouterr().err
-    assert "scenario" in err and "out-dir" in err
+    assert err == "error: missing required study settings: replications, scenario, out-dir\n"
 
 
 def test_study_rejects_invalid_cutoffs(tmp_path, capsys):
@@ -285,8 +278,8 @@ def test_study_rejects_invalid_cutoffs(tmp_path, capsys):
             str(cfg_path),
             "--seed",
             "1",
-            "--scale",
-            "0.01",
+            "--replications",
+            "10",
             "--scenario",
             "fgn",
             "--out-dir",
@@ -314,10 +307,16 @@ def _study_with_config(tmp_path, capsys, cfg, *extra):
     cfg_path.write_text(json.dumps(cfg))
     out_dir = tmp_path / "out"
     argv = ["study", "--config", str(cfg_path), *extra]
-    required = {"seed": "1", "scale": "0.001", "scenario": "fgn", "workers": "1"}
-    for key, value in {**required, "out_dir": str(out_dir)}.items():
+    required = {
+        "master_seed": ["--seed", "1"],
+        "replications": ["--replications", "1"],
+        "scenario": ["--scenario", "fgn"],
+        "workers": ["--workers", "1"],
+        "out_dir": ["--out-dir", str(out_dir)],
+    }
+    for key, flag in required.items():
         if key not in cfg:
-            argv += [f"--{key.replace('_', '-')}", value]
+            argv += flag
     code = main(argv)
     return code, capsys.readouterr().err, out_dir.exists()
 
@@ -347,12 +346,14 @@ BAD_CONFIGS = [
     ({"psi": "abc"}, "psi"),
     ({"psi": 10**9}, "psi"),
     ({"level_seed": -1}, "level_seed"),
-    ({"seed": -1}, "master_seed"),
-    ({"seed": 1, "master_seed": 2}, "seed or master_seed"),
-    ({"scale": "0.1"}, "scale"),
-    ({"scale": "0.1", "replications": 2}, "scale"),
-    ({"scale": 0.0004}, "scale"),  # rounds to 0 replications
+    ({"master_seed": -1}, "master_seed"),
     ({"out_dir": 3}, "out_dir"),
+    # seed and scale were other spellings of master_seed and replications
+    ({"seed": -1}, "unknown study setting(s): seed"),
+    ({"seed": 1, "master_seed": 2}, "unknown study setting(s): seed"),
+    ({"scale": "0.1"}, "unknown study setting(s): scale"),
+    ({"scale": "0.1", "replications": 2}, "unknown study setting(s): scale"),
+    ({"scale": 0.0004}, "unknown study setting(s): scale"),
 ]
 
 
@@ -393,14 +394,15 @@ def test_study_allows_repeated_hurst_values(tmp_path, capsys):
 @pytest.mark.parametrize(
     "config,flags,message",
     [
-        ('{"lengths": [50], }', ["--scale", "0.1"], "{config}: not valid JSON: "),
-        (None, ["--scale", "0.0004"], "scale must give at least 1 replication"),
-        ('{"lengths": [50]}\udcff', ["--scale", "0.1"],
+        ('{"lengths": [50], }', ["--replications", "100"], "{config}: not valid JSON: "),
+        # a count that could never finish is refused before the study starts
+        (None, ["--replications", "9" * 61], "replications must lie in [1, 1000000], got 9999"),
+        ('{"lengths": [50]}\udcff', ["--replications", "100"],
          "{config}: not valid JSON: 'utf-8' codec can't decode byte 0xff"),
         # json.loads refuses an integer past Python's 4,300-digit limit with a plain ValueError
-        ('{"level_seed": ' + "9" * 5000 + "}", ["--scale", "0.1"], "{config}: not valid JSON: "),
+        ('{"level_seed": ' + "9" * 5000 + "}", ["--replications", "100"], "{config}: not valid JSON: "),
     ],
-    ids=["malformed-json", "scale-rounds-to-zero", "not-utf-8", "integer-past-digit-limit"],
+    ids=["malformed-json", "replications-past-ceiling", "not-utf-8", "integer-past-digit-limit"],
 )
 def test_study_input_errors_name_what_was_given(tmp_path, capsys, monkeypatch, config, flags, message):
     def no_compute(cfg):
@@ -456,7 +458,7 @@ def test_study_refuses_a_manifest_of_per_length_grids_in_one_short_line(tmp_path
 )
 def test_study_rejects_out_of_range_seeds(tmp_path, capsys, scenario, flag, value, key):
     out_dir = tmp_path / "out"
-    argv = ["study", "--seed", "1", "--scale", "0.001", "--workers", "1", "--out-dir", str(out_dir)]
+    argv = ["study", "--seed", "1", "--replications", "1", "--workers", "1", "--out-dir", str(out_dir)]
     assert main([*argv, "--scenario", scenario, flag, value]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
@@ -501,48 +503,63 @@ def test_rank_checks_k_before_opening_a_file(tmp_path, capsys):
 
 
 _HUGE = "9" * 4000
+_STUDY = ["study", "--seed", "1", "--replications", "1", "--workers", "1", "--out-dir", "out"]
 
 
 @pytest.mark.parametrize(
     "config,argv,name",
     [
-        ({"level_seed": int(_HUGE)}, ["study", "--workers", "1"], "level_seed"),
-        (None, ["study", "--workers", _HUGE], "workers"),
-        (None, ["estimate", "x.csv", "--quantile-transform", "10", "--level-seed", _HUGE], "--level-seed"),
+        ({"level_seed": int(_HUGE)}, [*_STUDY, "--scenario", "fgn"], "level_seed"),
+        (None, [*_STUDY, "--scenario", "fgn", "--workers", _HUGE], "workers"),
+        (None, ["estimate", "x.csv", "--estimator", "variance", "--n1", "1", "--n2", "4",
+                "--quantile-transform", "10", "--level-seed", _HUGE], "--level-seed"),
+        ({"lengths": [50], "variance_cutoffs": [[1, int(_HUGE)]]}, [*_STUDY, "--scenario", "fgn"], "variance_cutoffs"),
+        ({"lengths": [50], "gph_cutoffs": [[1, int(_HUGE)]]}, [*_STUDY, "--scenario", "fgn"], "gph_cutoffs"),
+        ({"variance_cutoffs": [[1, int(_HUGE)]] * 2}, [*_STUDY, "--scenario", "fgn"], "variance_cutoffs repeats"),
+        ({"scenario": _HUGE}, _STUDY, "scenario"),
+        (None, ["estimate", "x.csv", "--estimator", "variance", "--n1", "1", "--n2", _HUGE], "n2"),
+        (None, ["estimate", "x.csv", "--estimator", "gph", "--trim", "1", "--bandwidth", _HUGE], "bandwidth"),
+        (None, ["simulate", "--scenario", "fgn", "--hurst", "0.7", "--length", _HUGE, "--seed", "1",
+                "--out-dir", "out"], "length"),
+        (None, ["rank", "results_fgn_n50.csv", "-k", f"-{_HUGE}"], "-k"),
     ],
-    ids=["study-level-seed", "study-workers", "estimate-level-seed"],
+    ids=[
+        "study-level-seed", "study-workers", "estimate-level-seed", "study-variance-cutoffs", "study-gph-cutoffs",
+        "study-repeated-cutoffs", "study-scenario", "estimate-n2", "estimate-bandwidth", "simulate-length", "rank-k",
+    ],
 )
 def test_range_errors_echo_a_long_value_cut_short(tmp_path, capsys, monkeypatch, config, argv, name):
     monkeypatch.chdir(tmp_path)
     Path("x.csv").write_text("value\n" + "".join(f"{v}\n" for v in range(20)))
-    if argv[0] == "study":
-        argv = [*argv, "--seed", "1", "--scale", "0.001", "--scenario", "fgn", "--out-dir", "out"]
-    else:
-        argv = [*argv, "--estimator", "variance", "--n1", "1", "--n2", "4"]
     if config is not None:
         Path("study.json").write_text(json.dumps(config))
-        argv += ["--config", "study.json"]
+        argv = [*argv, "--config", "study.json"]
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and name in captured.err and len(captured.err) < 200
-    assert "..." in captured.err and _HUGE not in captured.err
+    assert captured.err.count("\n") == 1 and "..." in captured.err and _HUGE not in captured.err
     assert not Path("out").exists()
 
 
 @pytest.mark.parametrize(
     "argv,err",
     [
-        (["study", "--seed", "1", "--scale", "0.001", "--scenario", "fgn", "--out-dir", "out", "--workers", "65"],
-         "error: workers must lie in [1, 64], got 65\n"),
+        ([*_STUDY, "--scenario", "fgn", "--workers", "65"], "error: workers must lie in [1, 64], got 65\n"),
         (["estimate", "x.csv", "--estimator", "variance", "--n1", "1", "--n2", "4",
           "--quantile-transform", "10", "--level-seed", "-1"],
          "error: --level-seed: level seed must lie in [0, 2**64), got -1\n"),
+        (["estimate", "x.csv", "--estimator", "variance", "--n1", "1", "--n2", "30"],
+         "error: n2=30 exceeds series length 20\n"),
+        (["simulate", "--scenario", "fgn", "--hurst", "0.7", "--length", "0", "--seed", "1", "--out-dir", "out"],
+         "error: length must lie in [1, 10000000], got 0\n"),
+        (["rank", "results_fgn_n50.csv", "-k", "-3"], "error: -k must be >= 1, got -3\n"),
     ],
-    ids=["study-workers", "estimate-level-seed"],
+    ids=["study-workers", "estimate-level-seed", "estimate-n2", "simulate-length", "rank-k"],
 )
 def test_range_errors_echo_a_short_value_whole(tmp_path, capsys, monkeypatch, argv, err):
     monkeypatch.chdir(tmp_path)
+    Path("x.csv").write_text("value\n" + "".join(f"{v}\n" for v in range(20)))
     assert main(argv) == 1
     assert capsys.readouterr().err == err
 

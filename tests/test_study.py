@@ -32,7 +32,7 @@ from lrdetect.cli import main
 from lrdetect.excursion import MAX_PSI
 from lrdetect.fgn import MAX_LENGTH
 from lrdetect.gph import full_ordinates, gph_regressors
-from lrdetect.study import MAX_WORKERS, WindowGrid, pool_size
+from lrdetect.study import MAX_REPLICATIONS, MAX_WORKERS, WindowGrid, pool_size
 from lrdetect.varplot import block_mean_variances
 
 
@@ -221,6 +221,12 @@ def test_import_does_not_load_multiprocessing():
     done = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_replications_have_a_ceiling():
+    small_cfg(replications=MAX_REPLICATIONS)
+    with pytest.raises(ConfigError, match="replications"):
+        small_cfg(replications=MAX_REPLICATIONS + 1)
 
 
 def test_psi_has_a_ceiling():

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,3 +192,36 @@ def test_expected_block_variance_matches_oracle(hurst, tag):
         want = exact_mean_variance(lambda k: fgn_autocovariance(p, k), length)
         allowance = 5 * se[i] + 30.0 * (length / n) * want
         assert abs(mean_curve[i] - want) <= allowance, f"l={length}"
+
+
+# Block variances of a noise row and of a sawtooth, whose length-7 block sums are
+# all equal and so take the deviation-form redo, at n = 20,000: every dot
+# product runs past the 10,000 elements above which OpenBLAS threads a ddot.
+_BLOCK_VARIANCE_BYTES = """
+import sys
+import numpy as np
+from lrdetect.varplot import block_variance_rows
+
+n = 20_000
+rows = np.vstack([np.random.default_rng(5).standard_normal(n), np.arange(n) % 7.0])
+sys.stdout.write(block_variance_rows(rows, 1, 8).tobytes().hex())
+"""
+
+
+def test_block_variances_do_not_depend_on_blas_threads():
+    import lrdetect
+
+    src = str(Path(lrdetect.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    outputs = []
+    for threads in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c", _BLOCK_VARIANCE_BYTES],
+            env={**env, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
