@@ -20,7 +20,7 @@ from .errors import (
 from .excursion import (
     QuantileMeasure,
     draw_levels,
-    ie_pipeline,
+    fit_series,
     resolve_quantiles,
     transform_series,
 )

@@ -15,6 +15,8 @@ from .fgn import FgnParams, SubordinationParams, simulate_fgn, subordinate
 from .gph import GphConfig
 from .series import read_series_csv, write_series_csv
 from .study import (
+    ESTIMATORS,
+    SCENARIOS,
     StudyConfig,
     StudyReports,
     rank_cutoffs,
@@ -169,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="emit raw simulated series as CSV files")
-    p_sim.add_argument("--scenario", choices=("fgn", "subordinated-fgn"), required=True)
+    p_sim.add_argument("--scenario", choices=SCENARIOS, required=True)
     p_sim.add_argument("--hurst", type=float, required=True)
     p_sim.add_argument("--length", type=int, required=True)
     p_sim.add_argument("--count", type=int, default=1)
@@ -181,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_est = sub.add_parser("estimate", help="classify one CSV series with one estimator")
     p_est.add_argument("input")
-    p_est.add_argument("--estimator", choices=("variance", "gph"), required=True)
+    p_est.add_argument("--estimator", choices=ESTIMATORS, required=True)
     p_est.add_argument("--n1", type=int)
     p_est.add_argument("--n2", type=int)
     p_est.add_argument("--delta", type=float)
@@ -200,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_study = sub.add_parser("study", help="run the Monte Carlo classification study")
     p_study.add_argument("--config", help="JSON file with study settings")
     p_study.add_argument("--seed", type=int, dest="master_seed")
-    p_study.add_argument("--scenario", choices=("fgn", "subordinated-fgn"))
+    p_study.add_argument("--scenario", choices=SCENARIOS)
     p_study.add_argument("--out-dir")
     p_study.add_argument("--workers", type=int)
     p_study.add_argument("--lengths", help="comma-separated series lengths")

@@ -95,7 +95,10 @@ def fit_series(
 
     The window is resolved against the length of x before anything else, so a
     window that does not fit fails before any transform or periodogram.  With
-    q, x is first mapped to its excursion counts against its own quantiles.
+    q, x is first mapped to its excursion counts against its own quantiles;
+    these thresholds are order statistics and the counts compare with strict
+    inequality, so the label is then exactly invariant under strictly
+    increasing transforms of x.
     """
     window = estimator.resolve(x.n)
     if q is not None:
@@ -106,16 +109,3 @@ def fit_series(
     fit = gph_estimate(x, estimator)
     return window, fit, classify_lrd_gph(fit)
 
-
-def ie_pipeline(
-    x: TimeSeries,
-    q: QuantileMeasure,
-    estimator: VariancePlotConfig | GphConfig,
-) -> str:
-    """Resolve quantile thresholds from the series itself, transform, classify.
-
-    Because thresholds are order statistics and the indicators compare with
-    strict inequality, the returned label is exactly invariant under strictly
-    increasing transforms of the input.
-    """
-    return fit_series(x, estimator, q)[2]

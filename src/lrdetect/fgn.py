@@ -284,9 +284,11 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
     return u
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def _embedding_amplitudes(params: FgnParams) -> np.ndarray:
-    """Square roots of the n distinct covariance-circulant eigenvalues, cached per params.
+    """Square roots of the n distinct covariance-circulant eigenvalues, cached for
+    the last params only: a repeated call (the next study cell at one Hurst
+    value, the next path of ``simulate --count``) repeats the call before it.
 
     The circulant's first row (gamma(0), ..., gamma(n-1), gamma(n-2), ...,
     gamma(1)) is real and even, so its m = 2(n-1) eigenvalues are real, with

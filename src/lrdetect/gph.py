@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OverflowValue, WindowExceedsSeries, ZeroPeriodogramOrdinate, echo
-from .series import RegressionFit, TimeSeries, ols_slope
+from .errors import WindowExceedsSeries, ZeroPeriodogramOrdinate, echo
+from .series import RegressionFit, TimeSeries, _log_curve_slope
 
 # A GPH estimate of d above this value means LRD.
 GPH_LRD_THRESHOLD = 0.0
@@ -81,19 +81,12 @@ def gph_from_ordinates(ordinates: np.ndarray, n: int, cfg: GphConfig) -> Regress
 
     Regresses log I(lambda_j) on -2*log(lambda_j) for j = trim..bandwidth;
     the slope estimates the memory parameter d.  A non-finite (overflowing),
-    negative or zero window ordinate raises an error naming its indices.
+    negative or zero window ordinate raises an error naming its first indices.
     """
     trim, bandwidth = cfg.resolve(n)
     indices = np.arange(trim, bandwidth + 1)
-    used = np.asarray(ordinates, dtype=np.float64)[indices]
-    for bad, error, what in (
-        (~np.isfinite(used), OverflowValue, "overflowing (non-finite)"),
-        (used < 0.0, ValueError, "negative"),
-        (used == 0.0, ZeroPeriodogramOrdinate, "zero"),
-    ):
-        if bad.any():
-            raise error(f"{what} ordinate at frequency indices {indices[bad].tolist()}")
-    return ols_slope(gph_regressors(indices, n), np.log(used))
+    xs, used = gph_regressors(indices, n), np.asarray(ordinates, dtype=np.float64)[indices]
+    return _log_curve_slope(xs, used, trim, "ordinate at frequency indices", ZeroPeriodogramOrdinate)
 
 
 def gph_estimate(x: TimeSeries, cfg: GphConfig) -> RegressionFit:

@@ -1,4 +1,5 @@
-"""Series container, its CSV form, and ``WindowGrid``, the one least-squares kernel."""
+"""Series container, its CSV form, ``WindowGrid``, the one least-squares kernel, and
+``_log_curve_slope``, the one check of an estimator window's curve."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateDesign
+from .errors import DegenerateDesign, OverflowValue, echo
 
 # Rows per write of the series CSV writer.  The reader converts slices of
 # _CSV_SLICE characters, cut at the next line end: about _CSV_CHUNK lines of
@@ -67,6 +68,30 @@ def ols_slope(xs, ys) -> RegressionFit:
         raise DegenerateDesign("all abscissae coincide")
     [(_, slopes, _)] = WindowGrid(x, [(0, x.size - 1)]).slope_blocks(y[None, :])
     return RegressionFit(float(slopes[0, 0]))
+
+
+def _log_curve_slope(xs, curve, first: int, noun: str, zero_error: type[Exception]) -> RegressionFit:
+    """``ols_slope`` of log(curve) on xs, once every entry of the window's curve
+    has a finite log: the one rule for which windows are unusable.
+
+    ``curve``'s entries sit at positions first, first + 1, ...; ``noun`` names
+    an entry and its positions ("ordinate at frequency indices").  A non-finite
+    entry raises OverflowValue, a negative one ValueError and a zero one
+    ``zero_error``, in that order; the message names the first positions and,
+    when it cuts their list, how many there are.  The study skips exactly the
+    windows whose log curve is not finite.
+    """
+    curve = np.asarray(curve, dtype=np.float64)
+    for bad, error, what in (
+        (~np.isfinite(curve), OverflowValue, "overflowing (non-finite)"),
+        (curve < 0.0, ValueError, "negative"),
+        (curve == 0.0, zero_error, "zero"),
+    ):
+        hits = first + np.flatnonzero(bad)
+        if hits.size:
+            cut = f" ({hits.size} in all)" if hits.size > echo.maxlist else ""
+            raise error(f"{what} {noun} {echo.repr(hits.tolist())}{cut}")
+    return ols_slope(xs, np.log(curve))
 
 
 class WindowGrid:

@@ -273,7 +273,7 @@ class StudyConfig:
             raise ConfigError("alpha must be positive")
         if not 1 <= self.workers <= MAX_WORKERS:
             raise ConfigError(f"workers must lie in [1, {MAX_WORKERS}], got {echo.repr(self.workers)}")
-        grid = self.hurst_grid if self.hurst_grid is not None else default_hurst_grid(self.scenario)
+        grid = self.resolved_hurst_grid()
         if not grid or any(not 0.0 < h < 1.0 for h in grid):
             raise ConfigError("hurst_grid must be nonempty with values strictly in (0, 1)")
         # each window is checked by its estimator's own rule, at every length

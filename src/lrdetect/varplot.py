@@ -9,14 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateBlockVariance,
-    OutOfRangeTheta,
-    OverflowValue,
-    WindowExceedsSeries,
-    echo,
-)
-from .series import RegressionFit, TimeSeries, ols_slope
+from .errors import DegenerateBlockVariance, OutOfRangeTheta, WindowExceedsSeries, echo
+from .series import RegressionFit, TimeSeries, _log_curve_slope
 
 # A variance-plot slope above this value means LRD.
 VARIANCE_LRD_THRESHOLD = -1.0
@@ -159,32 +153,24 @@ def block_variance_rows(values: np.ndarray, n1: int, n2: int) -> np.ndarray:
 
 def block_mean_variances(x: TimeSeries, n1: int, n2: int) -> np.ndarray:
     """Variances of overlapping block means of one series, a read-only array whose
-    entry i holds block length n1 + i.
-
-    Every entry is finite and nonnegative: a variance that overflows the float
-    range raises OverflowValue naming its block lengths.
-    """
+    entry i holds block length n1 + i.  A variance that overflows is inf or nan:
+    the fit, not the curve, rejects it."""
     s2 = block_variance_rows(x.values[None, :], n1, n2)[0]
-    overflowing = n1 + np.flatnonzero(~np.isfinite(s2))
-    if overflowing.size:
-        raise OverflowValue(f"overflowing (non-finite) block variance at block lengths {overflowing.tolist()}")
     s2.setflags(write=False)
     return s2
 
 
 def variance_plot_slope(x: TimeSeries, cfg: VariancePlotConfig) -> RegressionFit:
     """Least-squares slope of log block variance against log block length over the
-    configured window; a zero variance there raises DegenerateBlockVariance.
+    configured window; a zero variance there raises DegenerateBlockVariance and
+    an overflowing one OverflowValue.
 
     The slope estimates 2D - 1, where D is the memory parameter governing the
     decay of the sample mean's variance.
     """
     n1, n2 = cfg.resolve(x.n)
-    s2 = block_mean_variances(x, n1, n2)
-    zero = n1 + np.flatnonzero(s2 == 0.0)
-    if zero.size:
-        raise DegenerateBlockVariance(f"zero block variance at lengths {zero.tolist()}")
-    return ols_slope(np.log(np.arange(n1, n2 + 1)), np.log(s2))
+    xs, curve = np.log(np.arange(n1, n2 + 1)), block_mean_variances(x, n1, n2)
+    return _log_curve_slope(xs, curve, n1, "block variance at block lengths", DegenerateBlockVariance)
 
 
 def admissible_delta_bound(theta: float) -> float:

@@ -18,10 +18,10 @@ from lrdetect import (
     classify_lrd_gph,
     classify_lrd_variance,
     fgn_autocovariance,
+    fit_series,
     full_ordinates,
     gph_estimate,
     gph_from_ordinates,
-    ie_pipeline,
     ols_slope,
     replication_seed,
     run_study,
@@ -216,9 +216,9 @@ def test_criterion_7_invariance_suite(tmp_path):
                 replication_seed(709, "subordinated-fgn", h_index, 0),
             )
             z = subordinate(y, SubordinationParams(1.0))
-            base_label = ie_pipeline(z, levels, estimator)
+            base_label = fit_series(z, estimator, levels)[2]
             monotone = TimeSeries(np.log(z.values) * 3.0 + 1.0)
-            assert ie_pipeline(monotone, levels, estimator) == base_label
+            assert fit_series(monotone, estimator, levels)[2] == base_label
 
     # alpha-invariance of subordinated-study metrics
     digests = {}

@@ -9,7 +9,7 @@ from lrdetect import (
     TimeSeries,
     VariancePlotConfig,
     draw_levels,
-    ie_pipeline,
+    fit_series,
     replication_seed,
     resolve_quantiles,
     simulate_fgn,
@@ -104,9 +104,8 @@ def test_pipeline_invariant_under_increasing_maps():
         b = transform_series(y, resolve_quantiles(y, levels)).values
         assert np.array_equal(a, b)
     for estimator in (VariancePlotConfig(n1=1, n2=14), GphConfig(trim=1, bandwidth=28)):
-        assert ie_pipeline(x, levels, estimator) == ie_pipeline(
-            TimeSeries(np.exp(x.values)), levels, estimator
-        )
+        exp_x = TimeSeries(np.exp(x.values))
+        assert fit_series(x, estimator, levels)[2] == fit_series(exp_x, estimator, levels)[2]
 
 
 def test_alpha_does_not_change_transformed_series():
@@ -131,7 +130,7 @@ def test_pipeline_detects_memory_of_subordinated_fgn():
             FgnParams(hurst=0.85, n=10_000), replication_seed(616, "subordinated-fgn", 0, r)
         )
         z = subordinate(y, SubordinationParams(1.0))
-        hits += ie_pipeline(z, levels, cfg) == "LRD"
+        hits += fit_series(z, cfg, levels)[2] == "LRD"
     assert hits / reps > 0.8
 
 
@@ -149,7 +148,7 @@ def test_pipeline_false_positive_rate_below_threshold():
             FgnParams(hurst=0.6, n=200), replication_seed(616, "subordinated-fgn", 1, r)
         )
         z = subordinate(y, SubordinationParams(1.0))
-        hits += ie_pipeline(z, levels, cfg) == "LRD"
+        hits += fit_series(z, cfg, levels)[2] == "LRD"
     assert hits / reps < 0.6
 
 

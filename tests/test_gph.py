@@ -165,6 +165,20 @@ def test_periodogram_needs_two_samples():
         full_ordinates(TimeSeries([1.0]))
 
 
+def test_window_rejects_overflow_then_negative_then_zero():
+    ordinates = full_ordinates(simulate_fgn(FgnParams(hurst=0.6, n=64), 5)).copy()
+    ordinates[[3, 5, 7]] = 0.0, -1.0, math.inf
+    for index, error, message in (
+        (7, OverflowValue, "overflowing (non-finite) ordinate at frequency indices [7]"),
+        (5, ValueError, "negative ordinate at frequency indices [5]"),
+        (3, ZeroPeriodogramOrdinate, "zero ordinate at frequency indices [3]"),
+    ):
+        with pytest.raises(error) as caught:
+            gph_from_ordinates(ordinates, 64, GphConfig(trim=1, bandwidth=20))
+        assert str(caught.value) == message
+        ordinates[index] = 1.0  # mended, so the next error in line shows
+
+
 @pytest.mark.parametrize("bad,error", [(math.inf, OverflowValue), (math.nan, OverflowValue), (-1.0, ValueError)])
 def test_window_rejects_unusable_ordinates(bad, error):
     ordinates = full_ordinates(simulate_fgn(FgnParams(hurst=0.6, n=64), 5)).copy()

@@ -17,10 +17,10 @@ from lrdetect import (
     VariancePlotConfig,
     block_mean_variances,
     draw_levels,
+    fit_series,
     full_ordinates,
     gph_estimate,
     gph_from_ordinates,
-    ie_pipeline,
     resolve_quantiles,
     simulate_fgn,
     transform_series,
@@ -88,8 +88,8 @@ def test_ie_pipeline_labels_match_the_reference(n):
     for n1, n2 in [(1, min(30, n - 1)), (4, 12)]:
         reference = _variance_reference(shares, n1, n2)
         want = "LRD" if reference > VARIANCE_LRD_THRESHOLD else "non-LRD"
-        assert ie_pipeline(x, levels, VariancePlotConfig(n1=n1, n2=n2)) == want, (n1, n2)
+        assert fit_series(x, VariancePlotConfig(n1=n1, n2=n2), levels)[2] == want, (n1, n2)
     for trim, bandwidth in [(1, int(n**0.5)), (n - 21, n - 1)]:
         reference = _gph_reference(ordinates, n, trim, bandwidth)
         want = "LRD" if reference > GPH_LRD_THRESHOLD else "non-LRD"
-        assert ie_pipeline(x, levels, GphConfig(trim=trim, bandwidth=bandwidth)) == want, (trim, bandwidth)
+        assert fit_series(x, GphConfig(trim=trim, bandwidth=bandwidth), levels)[2] == want, (trim, bandwidth)

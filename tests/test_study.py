@@ -9,16 +9,19 @@ import pytest
 
 from lrdetect import (
     ConfigError,
+    DegenerateBlockVariance,
     GphConfig,
     MetricsReport,
     StudyConfig,
     StudyReports,
     TimeSeries,
     VariancePlotConfig,
+    ZeroPeriodogramOrdinate,
     default_gph_grid,
     default_hurst_grid,
     default_variance_grid,
     gph_estimate,
+    gph_from_ordinates,
     ground_truth_label,
     rank_cutoffs,
     read_report_csv,
@@ -31,9 +34,9 @@ from lrdetect import oracles, study
 from lrdetect.cli import main
 from lrdetect.excursion import MAX_PSI
 from lrdetect.fgn import MAX_LENGTH
-from lrdetect.gph import full_ordinates, gph_regressors
+from lrdetect.gph import full_ordinates, gph_regressors, ordinate_rows
 from lrdetect.study import MAX_REPLICATIONS, MAX_WORKERS, WindowGrid, pool_size
-from lrdetect.varplot import block_mean_variances
+from lrdetect.varplot import block_mean_variances, block_variance_rows
 
 
 def _labels(grid, logs, threshold):
@@ -144,11 +147,13 @@ def test_run_study_counts_are_conserved():
         assert r.tp + r.fp + r.tn + r.fn + r.skips == total
 
 
-def test_run_study_deterministic_across_runs_and_workers(tmp_path):
-    cfg = small_cfg()
+@pytest.mark.parametrize("scenario", ["fgn", "subordinated-fgn"])
+def test_run_study_deterministic_across_runs_and_workers(tmp_path, scenario):
+    # the subordinated scenario also sends its level panel to the pool's workers
+    cfg = small_cfg(scenario=scenario)
     first = write_study_outputs(cfg, run_study(cfg), tmp_path / "a")
     second = write_study_outputs(cfg, run_study(cfg), tmp_path / "b")
-    parallel_cfg = small_cfg(workers=2)
+    parallel_cfg = small_cfg(scenario=scenario, workers=2)
     third = write_study_outputs(parallel_cfg, run_study(parallel_cfg), tmp_path / "c")
     reference = first[0].read_bytes()
     assert second[0].read_bytes() == reference
@@ -325,6 +330,46 @@ def test_constant_series_counts_as_skip():
     constant = TimeSeries(np.ones(50))
     assert np.all(_variance_labels(constant, np.array([(1, 4), (2, 8)])) == 2)
     assert np.all(_gph_labels(constant, np.array([(1, 10)]), full_ordinates(constant)) == 2)
+
+
+def _raises(error, fit, *args) -> int:
+    try:
+        fit(*args)
+    except error:
+        return 1
+    return 0
+
+
+@pytest.mark.parametrize("n", [4, 31, 101])
+def test_study_skips_exactly_where_the_fit_raises(n):
+    k = np.arange(n)
+    inputs = {
+        "constant": np.full(n, 0.3),
+        "constant-stretch": np.where(k < n // 2, 1.0, np.random.default_rng(n).standard_normal(n)),
+        "two-level": (k % 3 == 0).astype(np.float64),
+    }
+    # the two default grids, built as study._count_cells builds them
+    var_grid, gph_grid = np.array(default_variance_grid(n)), np.array(default_gph_grid(n))
+    lmin, lmax = int(var_grid[:, 0].min()), int(var_grid[:, 1].max())
+    variance = WindowGrid(np.log(np.arange(lmin, lmax + 1, dtype=np.float64)), var_grid - lmin)
+    gph = WindowGrid(gph_regressors(np.arange(1, n), n), gph_grid - 1)
+    seen = set()
+    for name, values in inputs.items():
+        series = TimeSeries(values)
+        with np.errstate(divide="ignore"):
+            var_logs = np.log(block_variance_rows(values[None, :], lmin, lmax))
+            gph_logs = np.log(ordinate_rows(values[None, :])[:, 1:])
+        var_skips = study._tally(variance, var_logs, -1.0)[2].tolist()
+        gph_skips = study._tally(gph, gph_logs, 0.0)[2].tolist()
+        ordinates = full_ordinates(series)
+        for (n1, n2), skip in zip(var_grid.tolist(), var_skips):
+            cfg = VariancePlotConfig(n1=n1, n2=n2)
+            assert skip == _raises(DegenerateBlockVariance, variance_plot_slope, series, cfg), (name, n1, n2)
+        for (trim, bandwidth), skip in zip(gph_grid.tolist(), gph_skips):
+            cfg = GphConfig(trim=trim, bandwidth=bandwidth)
+            assert skip == _raises(ZeroPeriodogramOrdinate, gph_from_ordinates, ordinates, n, cfg), (name, trim, bandwidth)
+        seen.update(var_skips + gph_skips)
+    assert seen == {0, 1}  # some windows skip and some fit
 
 
 def _block(estimator, n, *rows):

@@ -11,6 +11,7 @@ from lrdetect import (
     DegenerateBlockVariance,
     FgnParams,
     OutOfRangeTheta,
+    OverflowValue,
     TimeSeries,
     VariancePlotConfig,
     WindowExceedsSeries,
@@ -46,8 +47,16 @@ def test_block_variance_length_one_is_population_variance():
 def test_block_variance_constant_series_is_zero():
     curve = block_mean_variances(TimeSeries([3.0] * 50), 1, 10)
     assert np.all(curve == 0.0)
-    with pytest.raises(DegenerateBlockVariance, match=r"^zero block variance at lengths \[1, 2, 3, 4, 5, 6, 7, 8, 9, 10\]$"):
+    with pytest.raises(DegenerateBlockVariance, match=r"^zero block variance at block lengths \[1, 2, 3, 4, 5, 6, \.\.\.\] \(10 in all\)$"):
         variance_plot_slope(TimeSeries([3.0] * 50), VariancePlotConfig(n1=1, n2=10))
+
+
+def test_block_variance_curve_keeps_overflow_for_the_fit_to_reject():
+    loud = TimeSeries([(-1) ** k * 1e200 for k in range(64)])
+    curve = block_mean_variances(loud, 1, 10)
+    assert not np.isfinite(curve).all() and not curve.flags.writeable
+    with pytest.raises(OverflowValue, match=r"^overflowing \(non-finite\) block variance at block lengths \[1, 3, 5, 7, 9\]$"):
+        variance_plot_slope(loud, VariancePlotConfig(n1=1, n2=10))
 
 
 def test_block_variance_window_validation():
