@@ -59,7 +59,7 @@ def ols_slope(xs, ys) -> RegressionFit:
 
     Both coordinates must be one-dimensional and finite (ValueError), equally
     long with at least 2 points, and not all abscissae equal (DegenerateDesign).
-    ``oracles.ols_slope`` is the compensated-sum reference for this kernel.
+    ``ols_slope`` in ``tests/oracles.py`` is the compensated-sum reference for this kernel.
     """
     x, y = _as_finite_array(xs), _as_finite_array(ys)
     if x.size != y.size or x.size < 2:
@@ -108,9 +108,9 @@ class WindowGrid:
     over its segments.  a_s - xbar_w subtracts two values inside the window's
     range, so it loses no digits, and the rounding residual r_w of the window
     mean xbar_w is kept as a separate term, so the weights sum to zero.  This
-    matches the compensated-sum reference ``oracles.ols_slope`` to ~1e-12
-    relative even for narrow windows far from the origin, where differences of
-    prefix sums cancel catastrophically.
+    matches the compensated-sum reference ``ols_slope`` in ``tests/oracles.py``
+    to ~1e-12 relative even for narrow windows far from the origin, where
+    differences of prefix sums cancel catastrophically.
 
     The (segments x windows) weight blocks, at most ``_CHUNK`` elements each,
     are built once, here, and serve every call.  A boolean membership block
@@ -172,22 +172,17 @@ class WindowGrid:
 
         A window's slope is NaN in rows with a non-finite value inside it.
         flags is the boolean mask of exactly those slopes, the NaNs of the
-        block, and None for a block in which no slope is flagged.  Flags are
-        computed only for the windows that hold a segment with a non-finite
-        value in some row.
+        block, and None for a block in which no slope is flagged.
         """
         values = np.asarray(ys, dtype=np.float64)[:, self._span]
         bad = ~np.isfinite(values)
-        touched = None
+        prefix = None
         if bad.any():
             values = np.where(bad, 0.0, values)
+            # prefix[:, s] counts each row's non-finite values before segment s
             per_segment = np.add.reduceat(bad, self._cuts, axis=1, dtype=np.int64)
             prefix = np.zeros((values.shape[0], self._cuts.size + 1), dtype=np.int64)
             np.cumsum(per_segment, axis=1, out=prefix[:, 1:])
-            # windows that hold a non-finite value in some row, and their flags
-            anywhere = prefix.sum(axis=0)
-            touched = np.flatnonzero(anywhere[self._stop] > anywhere[self._first])
-            flagged = prefix[:, self._stop[touched]] > prefix[:, self._first[touched]]
         sums = np.add.reduceat(values, self._cuts, axis=1)
         if self._spread:
             moments = np.add.reduceat(values * self._offsets, self._cuts, axis=1)
@@ -202,13 +197,11 @@ class WindowGrid:
                     slopes += moments[:, segs] @ inside[:, part].astype(np.float64)
                 slopes /= self._sxx[window]
                 flags = None
-                if touched is not None:
-                    low, high = np.searchsorted(touched, (window.start, window.stop)).tolist()
-                    if low < high:
-                        columns = touched[low:high] - window.start
-                        flags = np.zeros(slopes.shape, dtype=bool)
-                        flags[:, columns] = flagged[:, low:high]
-                        slopes[:, columns] = np.where(flagged[:, low:high], np.nan, slopes[:, columns])
+                if prefix is not None:
+                    flagged = prefix[:, self._stop[window]] > prefix[:, self._first[window]]
+                    if flagged.any():
+                        flags = flagged
+                        slopes[flagged] = np.nan
                 yield window, slopes, flags
 
 

@@ -1,7 +1,10 @@
-"""Brute-force reference implementations, used only by tests and acceptance runs.
+"""Brute-force reference implementations for the tests: a test reference, not
+part of the ``lrdetect`` package or its API.
 
-Nothing here is performance-tuned or part of the public API; each function
-restates a definition literally so the fast paths have an independent check.
+Nothing here is performance-tuned; each function restates a definition
+literally so the fast paths have an independent check.  A reference takes
+only types and names from the package (``FgnParams``, ``CSV_COLUMNS``, ...),
+never the code it checks.
 """
 
 from __future__ import annotations
@@ -12,10 +15,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import WindowExceedsSeries
-from .fgn import FgnParams, uniform_draws
-from .series import TimeSeries
-from .study import _CSV_ROW, CSV_COLUMNS
+from lrdetect.errors import WindowExceedsSeries
+from lrdetect.fgn import FgnParams
+from lrdetect.series import TimeSeries
+from lrdetect.study import CSV_COLUMNS
 
 CovarianceFunction = Callable[[int], float]
 
@@ -112,12 +115,13 @@ def embedding_amplitudes(params: FgnParams) -> np.ndarray:
 def fgn_paths(params: FgnParams, seeds) -> np.ndarray:
     """Circulant-embedding fGN paths through full complex transforms: the
     Hermitian vector w of scaled draws, mirrored to all 2(n-1) entries, and the
-    real part of its FFT, row i drawn from ``seeds[i]`` as the simulator draws it,
-    with scipy's inverse normal CDF (scipy is a test dependency only)."""
+    real part of its FFT, row i drawn from a fresh Philox generator keyed by
+    ``seeds[i]`` (``philox_uniforms``), with scipy's inverse normal CDF."""
     from scipy.special import ndtri
 
     n = params.n
-    draws = ndtri(uniform_draws(seeds, 1 if n == 1 else 2 * (n - 1)))
+    size = 1 if n == 1 else 2 * (n - 1)
+    draws = ndtri(np.array([philox_uniforms(int(seed), size) for seed in seeds]))
     if n == 1:
         return math.sqrt(params.sigma2) * draws
     amplitudes = embedding_amplitudes(params)
@@ -138,9 +142,11 @@ def metrics(tp: int, fp: int, tn: int, fn: int) -> tuple[float, float, float]:
 def report_csv_text(reports, n: int) -> str:
     """The metrics CSV text of length n, written row by row from report objects:
     the reports of that length sorted by (estimator, n1, n2), each formatted
-    from its counts and the metrics ``metrics`` computes from them."""
+    from its counts and the metrics ``metrics`` computes from them, in a row
+    format spelled out here rather than taken from the writer it checks."""
     rows = sorted((r for r in reports if r.series_length == n), key=lambda r: (r.estimator, r.n1, r.n2))
-    lines = [_CSV_ROW % (*(getattr(r, c) for c in CSV_COLUMNS[:8]), *metrics(r.tp, r.fp, r.tn, r.fn)) for r in rows]
+    row = "%s,%d,%d,%d,%d,%d,%d,%d,%.6f,%.6f,%.6f\r\n"
+    lines = [row % (*(getattr(r, c) for c in CSV_COLUMNS[:8]), *metrics(r.tp, r.fp, r.tn, r.fn)) for r in rows]
     return ",".join(CSV_COLUMNS) + "\r\n" + "".join(lines)
 
 

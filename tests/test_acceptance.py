@@ -30,7 +30,7 @@ from lrdetect import (
     variance_plot_slope,
     write_study_outputs,
 )
-from lrdetect.oracles import (
+from oracles import (
     brute_force_dft_periodogram,
     exact_mean_variance,
     naive_block_variances,

@@ -1,3 +1,5 @@
+import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -787,6 +789,23 @@ def test_commands_load_no_heavy_modules(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_package_ships_no_test_reference():
+    # the brute-force references live in tests/, and no package module imports
+    # them, scipy (a test dependency) or anything else from the tests
+    assert importlib.util.find_spec("lrdetect.oracles") is None
+    imported = []
+    for path in sorted(Path(lrdetect.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            imported += [(path.name, name) for name in names if {"scipy", "oracles", "tests"} & set(name.split("."))]
+    assert imported == []
 
 
 def test_estimate_gph_names_overflowing_ordinates(tmp_path, capsys):

@@ -17,7 +17,7 @@ from lrdetect import (
     transform_series,
 )
 from lrdetect.excursion import MAX_PSI, excursion_rows
-from lrdetect.oracles import excursion_counts
+from oracles import excursion_counts
 
 
 def test_resolve_quantiles_order_statistic():

@@ -14,7 +14,7 @@ from lrdetect import (
     simulate_fgn,
     subordinate,
 )
-from lrdetect import fgn, oracles
+from lrdetect import fgn
 from lrdetect.fgn import (
     _EXP_M2,
     _autocovariance_vector,
@@ -24,6 +24,8 @@ from lrdetect.fgn import (
     simulate_fgn_paths,
     uniform_draws,
 )
+
+import oracles
 
 
 def test_autocovariance_white_noise():

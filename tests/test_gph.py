@@ -19,7 +19,7 @@ from lrdetect import (
     replication_seed,
     simulate_fgn,
 )
-from lrdetect.oracles import brute_force_dft_periodogram
+from oracles import brute_force_dft_periodogram
 
 
 def fit_with_slope(slope):

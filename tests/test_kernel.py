@@ -16,11 +16,13 @@ from lrdetect import (
     run_study,
     simulate_fgn,
 )
-from lrdetect import oracles, series, study
+from lrdetect import series, study
 from lrdetect.fgn import simulate_fgn_paths, uniform_draws
 from lrdetect.gph import full_ordinates, gph_regressors, ordinate_rows
 from lrdetect.series import WindowGrid
 from lrdetect.varplot import block_variance_rows
+
+import oracles
 
 
 def _slopes(grid, ys):

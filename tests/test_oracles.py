@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lrdetect import FgnParams, TimeSeries, block_mean_variances, fgn_autocovariance, full_ordinates
-from lrdetect.oracles import (
+from oracles import (
     brute_force_dft_periodogram,
     exact_mean_variance,
     naive_block_variances,

@@ -27,7 +27,7 @@ from lrdetect import (
     variance_plot_slope,
 )
 from lrdetect.gph import gph_regressors
-from lrdetect.oracles import ols_slope
+from oracles import ols_slope
 
 LENGTHS = [50, 10_000, 200_000]
 

@@ -10,7 +10,7 @@ from lrdetect import (
     read_series_csv,
     write_series_csv,
 )
-from lrdetect.oracles import csv_reader_series
+from oracles import csv_reader_series
 from lrdetect.series import _CSV_CHUNK, _CSV_SLICE
 
 

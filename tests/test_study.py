@@ -30,13 +30,15 @@ from lrdetect import (
     variance_plot_slope,
     write_study_outputs,
 )
-from lrdetect import oracles, study
+from lrdetect import study
 from lrdetect.cli import main
 from lrdetect.excursion import MAX_PSI
 from lrdetect.fgn import MAX_LENGTH
 from lrdetect.gph import full_ordinates, gph_regressors, ordinate_rows
 from lrdetect.study import MAX_REPLICATIONS, MAX_WORKERS, WindowGrid, pool_size
 from lrdetect.varplot import block_mean_variances, block_variance_rows
+
+import oracles
 
 
 def _labels(grid, logs, threshold):

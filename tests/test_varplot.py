@@ -25,7 +25,7 @@ from lrdetect import (
     variance_plot_slope,
 )
 from lrdetect.excursion import draw_levels, excursion_rows
-from lrdetect.oracles import exact_mean_variance, naive_block_variances
+from oracles import exact_mean_variance, naive_block_variances
 
 
 def fit_with_slope(slope):
