@@ -13,7 +13,7 @@ from .errors import ConfigError, LrdetectError, echo
 from .excursion import MAX_PSI, QuantileMeasure, draw_levels, fit_series
 from .fgn import FgnParams, SubordinationParams, simulate_fgn, subordinate
 from .gph import GphConfig
-from .series import read_series_csv, write_series_csv
+from .series import _read_text, read_series_csv, write_series_csv
 from .study import (
     ESTIMATORS,
     SCENARIOS,
@@ -96,14 +96,22 @@ def _cmd_estimate(args) -> int:
 STUDY_CONFIG_KEYS = frozenset([field.name for field in dataclasses.fields(StudyConfig)] + ["out_dir"])
 
 
+def _comma_list(text: str) -> list:
+    """--lengths as a list: decimal tokens become ints and any other token stays
+    a string, for StudyConfig to refuse by name; it never raises."""
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+    return [int(tok) if tok.isdecimal() else tok for tok in tokens]
+
+
 def _study_config(args) -> tuple[StudyConfig, Path]:
     """Merge the JSON config with the flags (flags win).  StudyConfig receives only
     the values given there, plus the CLI's default lengths."""
     file_cfg = {}
     if args.config is not None:
+        text = _read_text(args.config)
         try:
-            file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except ValueError as exc:  # not UTF-8, not JSON, or an integer past Python's digit limit
+            file_cfg = json.loads(text)
+        except ValueError as exc:  # not JSON, or an integer past Python's digit limit
             raise ConfigError(f"{args.config}: not valid JSON: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"{args.config}: expected a JSON object of study settings")
@@ -126,10 +134,7 @@ def _study_config(args) -> tuple[StudyConfig, Path]:
     out_dir = settings.pop("out_dir")
     if not isinstance(out_dir, str):
         raise ConfigError(f"out_dir must be a path, got {echo.repr(out_dir)}")
-    lengths = settings.setdefault("lengths", (50, 100, 200, 500))
-    if isinstance(lengths, str):
-        tokens = [tok.strip() for tok in lengths.split(",") if tok.strip()]
-        settings["lengths"] = [int(tok) if tok.isdecimal() else tok for tok in tokens]
+    settings.setdefault("lengths", (50, 100, 200, 500))
     return StudyConfig(**settings), Path(out_dir)
 
 
@@ -205,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_study.add_argument("--scenario", choices=SCENARIOS)
     p_study.add_argument("--out-dir")
     p_study.add_argument("--workers", type=int)
-    p_study.add_argument("--lengths", help="comma-separated series lengths")
+    p_study.add_argument("--lengths", type=_comma_list, help="comma-separated series lengths")
     p_study.add_argument("--replications", type=int)
     p_study.add_argument("--psi", type=int)
     p_study.add_argument("--alpha", type=float)

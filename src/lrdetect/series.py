@@ -1,5 +1,6 @@
-"""Series container, its CSV form, ``WindowGrid``, the one least-squares kernel, and
-``_log_curve_slope``, the one check of an estimator window's curve."""
+"""Series container, its CSV form, ``_read_text``, the one decoding of an input
+file, ``WindowGrid``, the one least-squares kernel, and ``_log_curve_slope``, the
+one check of an estimator window's curve."""
 
 from __future__ import annotations
 
@@ -205,20 +206,38 @@ class WindowGrid:
                 yield window, slopes, flags
 
 
+def _read_text(path) -> str:
+    """The text of an input file, as every reader decodes it: strict UTF-8, with
+    "\\r\\n" and "\\r" line ends turned into "\\n".
+
+    A byte that is not UTF-8 raises ValueError naming the file and its line;
+    line ends of all three kinds count, as in ``bytes.splitlines``.  The bytes
+    are freed before the newline pass, so at most two copies of the file live at once.
+    """
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        ends = data.count(b"\n", 0, exc.start) + data.count(b"\r", 0, exc.start) - data.count(b"\r\n", 0, exc.start)
+        raise ValueError(f"{path}: line {ends + 1}: not UTF-8 text") from None
+    del data
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def read_series_csv(path) -> TimeSeries:
-    """Read a single-column UTF-8 CSV: an optional ``value`` header (any case,
-    padded), then one unquoted float per line in time order; empty lines are skipped.
+    """Read a single-column CSV (``_read_text``): an optional ``value`` header (any
+    case, padded), then one unquoted float per line in time order; empty lines are skipped.
 
     The text converts in slices of about ``_CSV_CHUNK`` lines; only when one
     fails is the whole file scanned for the offending line, which the error
     names together with the file.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8", errors="surrogateescape")
+    text = _read_text(path)
     if not text:
         raise ValueError(f"{path}: empty file")
-    # Universal newlines leave "\n" the one line end, as csv.reader has it;
-    # str.splitlines would also split a line at a form feed.
+    # "\n" is the one line end, as csv.reader has it; str.splitlines would
+    # also split a line at a form feed.
     first = text.find("\n") + 1 or len(text)
     header = 1 if text[:first].strip().lower() == "value" else 0
     start = first if header else 0
@@ -236,10 +255,6 @@ def read_series_csv(path) -> TimeSeries:
         if values.size and np.isfinite(values).all():
             return TimeSeries(values)
     for number, line in enumerate(text.split("\n")[header:], header + 1):
-        try:
-            line.encode("utf-8")
-        except UnicodeEncodeError:  # a lone surrogate: a byte that was not UTF-8
-            raise ValueError(f"{path}: line {number}: not UTF-8 text") from None
         if "," in line:
             raise ValueError(f"{path}: line {number}: expected a single column, got {line.count(',') + 1}")
         try:

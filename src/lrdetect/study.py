@@ -27,7 +27,7 @@ from .errors import ConfigError, WindowExceedsSeries, echo
 from .excursion import MAX_PSI, QuantileMeasure, draw_levels, excursion_rows
 from .fgn import MAX_LENGTH, FgnParams, simulate_fgn_paths
 from .gph import GPH_LRD_THRESHOLD, GphConfig, gph_regressors, ordinate_rows
-from .series import WindowGrid
+from .series import WindowGrid, _read_text
 from .varplot import VARIANCE_LRD_THRESHOLD, VariancePlotConfig, block_variance_rows
 
 SCENARIOS = ("fgn", "subordinated-fgn")
@@ -539,7 +539,7 @@ def read_report_csv(path) -> StudyReports:
     an estimator the study does not run, a window other than 1 <= n1 < n2, a
     count that is not a non-negative integer, an n2 or a sum of counts above
     2**53 (beyond which float64 metrics lose exactness), or a byte that is not
-    UTF-8 is a ValueError naming the file and the line.
+    UTF-8 (``_read_text``) is a ValueError naming the file and the line.
     """
     path = Path(path)
     _, marker, tail = path.stem.rpartition("_n")
@@ -547,13 +547,7 @@ def read_report_csv(path) -> StudyReports:
         raise ValueError(f"{path}: file name lacks the series length suffix _n<digits>")
     length = int(tail)
     blocks = {estimator: [] for estimator in ESTIMATORS}
-    data = path.read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{path}: line {line}: not UTF-8 text") from None
-    rows = csv.reader(io.StringIO(text, newline=""))
+    rows = csv.reader(io.StringIO(_read_text(path), newline=""))
     try:
         header = next(rows, [])
         missing = [name for name in CSV_COLUMNS[:8] if name not in header]

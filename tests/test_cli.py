@@ -335,6 +335,7 @@ BAD_CONFIGS = [
     ({"lengths": 100}, "lengths"),
     ({"lengths": [50.0]}, "lengths"),
     ({"lengths": "50,abc"}, "lengths"),
+    ({"lengths": "50,100"}, "lengths must be a list"),  # the comma form is the --lengths flag's only
     ({"alpha": None}, "alpha"),
     ({"hurst_grid": []}, "hurst_grid"),
     ({"hurst_grid": "0.4"}, "hurst_grid"),
@@ -399,12 +400,12 @@ def test_study_allows_repeated_hurst_values(tmp_path, capsys):
         ('{"lengths": [50], }', ["--replications", "100"], "{config}: not valid JSON: "),
         # a count that could never finish is refused before the study starts
         (None, ["--replications", "9" * 61], "replications must lie in [1, 1000000], got 9999"),
-        ('{"lengths": [50]}\udcff', ["--replications", "100"],
-         "{config}: not valid JSON: 'utf-8' codec can't decode byte 0xff"),
+        ('{"lengths": [50]}\udcff', ["--replications", "100"], "{config}: line 1: not UTF-8 text"),
+        ('{"lengths": [50],\n "psi": 1\udcff}', ["--replications", "100"], "{config}: line 2: not UTF-8 text"),
         # json.loads refuses an integer past Python's 4,300-digit limit with a plain ValueError
         ('{"level_seed": ' + "9" * 5000 + "}", ["--replications", "100"], "{config}: not valid JSON: "),
     ],
-    ids=["malformed-json", "replications-past-ceiling", "not-utf-8", "integer-past-digit-limit"],
+    ids=["malformed-json", "replications-past-ceiling", "not-utf-8", "not-utf-8-line-2", "integer-past-digit-limit"],
 )
 def test_study_input_errors_name_what_was_given(tmp_path, capsys, monkeypatch, config, flags, message):
     def no_compute(cfg):
@@ -650,10 +651,14 @@ _REPORT_HEADER = "estimator,n1,n2,tp,fp,tn,fn,skips,accuracy,sensitivity,specifi
         (_REPORT_HEADER + f"variance,1,5,{2**53},0,0,0,1,1,1,nan\n", "line 2: n2 and the sum of the counts must be at most 2**53"),
         (_REPORT_HEADER + f"variance,1,5,{2**64},0,0,0,0,1,1,nan\n", "line 2: n2 and the sum of the counts must be at most 2**53"),
         (_REPORT_HEADER + "gph,1,5,1,0,0,0,0,1,1,nan\ngph,1,6,1,0,0,0,0,1,1,\udcff\n", "line 3: not UTF-8 text"),
+        # "\r" alone ends a line too, as in the series CSV
+        ((_REPORT_HEADER + "gph,1,5,1,0,0,0,0,1,1,nan\ngph,1,6,1,0,0,0,0,1,1,\udcff\n").replace("\n", "\r"),
+         "line 3: not UTF-8 text"),
     ],
     ids=[
         "missing-column", "short-row", "negative-count", "not-an-integer", "unknown-estimator", "reversed-window",
         "empty-window", "oversized-field", "n2-above-2**53", "counts-above-2**53", "count-above-2**63", "not-utf-8",
+        "not-utf-8-cr",
     ],
 )
 def test_rank_names_file_and_line_of_malformed_csv(tmp_path, capsys, text, message):

@@ -61,7 +61,9 @@ def test_series_csv_writer_holds_few_arrays(tmp_path):
 
 def test_series_csv_reader_holds_few_arrays(tmp_path):
     path = write_series_csv(TimeSeries(np.random.default_rng(2).standard_normal(N)), tmp_path / "series.csv")
-    assert _peak_arrays(read_series_csv, path) <= 8
+    # two copies of the file at most, bytes and text or text and its newline pass: 6.03 measured
+    # (bytes, text and translated text at once: 7.74)
+    assert _peak_arrays(read_series_csv, path) <= 6.5
 
 
 def test_study_reports_retain_few_bytes_per_window():
