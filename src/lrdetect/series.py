@@ -16,8 +16,8 @@ from .errors import DegenerateDesign, OverflowValue, echo
 # repr-printed doubles, which take 16 to 24 characters each.
 _CSV_CHUNK = 1 << 16
 _CSV_SLICE = 20 * _CSV_CHUNK
-# Float64 elements that bound one block of window weights (segments x windows)
-# and of slopes (rows x windows).
+# Elements that bound one block of window weights and of its boolean membership
+# (segments x windows), and of slopes and their flags (rows x windows).
 _CHUNK = 1 << 16
 
 
@@ -114,9 +114,9 @@ class WindowGrid:
     differences of prefix sums cancel catastrophically.
 
     The (segments x windows) weight blocks, at most ``_CHUNK`` elements each,
-    are built once, here, and serve every call.  A boolean membership block
-    is kept beside each only when some segment holds more than one point:
-    otherwise every x_j - a_s is zero, and so is every C_s.
+    are built once, here, and serve every call, each beside its boolean
+    membership, which segments make up each window.  Membership alone decides
+    which windows a non-finite value makes unusable: a weight can be zero.
     """
 
     def __init__(self, xs, windows):
@@ -130,60 +130,54 @@ class WindowGrid:
         self.size = windows.shape[0]
         self._span = slice(int(cuts[0]), int(cuts[-1]))
         self._cuts = cuts[:-1] - cuts[0]
-        self._first = np.searchsorted(cuts, starts)
-        self._stop = np.searchsorted(cuts, stops)
-        self._anchors = xs[cuts[:-1]]
-        self._offsets = xs[self._span] - np.repeat(self._anchors, sizes)
+        first, stop = np.searchsorted(cuts, starts), np.searchsorted(cuts, stops)
+        anchors = xs[cuts[:-1]]
+        self._offsets = xs[self._span] - np.repeat(anchors, sizes)
         self._spread = bool(np.any(sizes > 1))
 
         sums = np.add.reduceat(self._offsets, self._cuts)
         squares = np.add.reduceat(self._offsets * self._offsets, self._cuts)
         sizes = sizes.astype(np.float64)
         counts = (stops - starts).astype(np.float64)
-        self._mean = np.empty(self.size)
-        self._residual = np.zeros(self.size)
         self._sxx = np.empty(self.size)
-        # (window slice, segment slice, weights, membership or None)
+        # (window slice, segment slice, weights, membership)
         self._blocks = []
         step = max(1, _CHUNK // self._cuts.size)
         for start in range(0, self.size, step):
             cols = slice(start, min(start + step, self.size))
-            segs = slice(int(self._first[cols].min()), int(self._stop[cols].max()))
+            segs = slice(int(first[cols].min()), int(stop[cols].max()))
             index = np.arange(segs.start, segs.stop)[:, None]
-            inside = (index >= self._first[cols]) & (index < self._stop[cols])
+            inside = (index >= first[cols]) & (index < stop[cols])
             block = inside.astype(np.float64)
-            self._mean[cols] = ((sizes[segs] * self._anchors[segs] + sums[segs]) @ block) / counts[cols]
+            mean = ((sizes[segs] * anchors[segs] + sums[segs]) @ block) / counts[cols]
             offset_sums = sums[segs] @ block
             offset_squares = squares[segs] @ block
-            deviations = self._weights(cols, segs, inside, out=block)  # r_w is still 0 here
-            self._residual[cols] = (offset_sums + sizes[segs] @ deviations) / counts[cols]
-            weights = self._weights(cols, segs, inside, out=block)
+            # a_s - xbar_w inside each window, then less the residual r_w of its mean
+            deviations = np.subtract(anchors[segs, None], mean, out=block)
+            deviations *= inside
+            residual = (offset_sums + sizes[segs] @ deviations) / counts[cols]
+            weights = np.subtract(anchors[segs, None], mean, out=block)
+            weights -= residual
+            weights *= inside
             self._sxx[cols] = offset_squares + 2.0 * (sums[segs] @ weights) + sizes[segs] @ (weights * weights)
-            self._blocks.append((cols, segs, weights, inside if self._spread else None))
-
-    def _weights(self, cols, segs, inside, out):
-        """Per-segment weights a_s - xbar_w - r_w, zero outside each window, written to ``out``."""
-        np.subtract(self._anchors[segs, None], self._mean[cols], out=out)
-        out -= self._residual[cols]
-        out *= inside
-        return out
+            self._blocks.append((cols, segs, weights, inside))
 
     def slope_blocks(self, ys):
         """Yield (window slice, slopes of every row there, flags), one bounded block at a time.
 
-        A window's slope is NaN in rows with a non-finite value inside it.
-        flags is the boolean mask of exactly those slopes, the NaNs of the
-        block, and None for a block in which no slope is flagged.
+        A window is unusable in a row when its membership meets a non-finite
+        value of the row, the rule ``_log_curve_slope`` applies to one window;
+        its slope there is NaN.  flags is the boolean mask of exactly those
+        slopes, the NaNs of the block, and None for a block in which no slope
+        is flagged.
         """
         values = np.asarray(ys, dtype=np.float64)[:, self._span]
         bad = ~np.isfinite(values)
-        prefix = None
+        hits = None
         if bad.any():
             values = np.where(bad, 0.0, values)
-            # prefix[:, s] counts each row's non-finite values before segment s
-            per_segment = np.add.reduceat(bad, self._cuts, axis=1, dtype=np.int64)
-            prefix = np.zeros((values.shape[0], self._cuts.size + 1), dtype=np.int64)
-            np.cumsum(per_segment, axis=1, out=prefix[:, 1:])
+            # each row's non-finite values per segment: small integers, exact in any product
+            hits = np.add.reduceat(bad, self._cuts, axis=1, dtype=np.float64)
         sums = np.add.reduceat(values, self._cuts, axis=1)
         if self._spread:
             moments = np.add.reduceat(values * self._offsets, self._cuts, axis=1)
@@ -194,12 +188,14 @@ class WindowGrid:
                 window = slice(start, min(start + step, cols.stop))
                 part = slice(window.start - cols.start, window.stop - cols.start)
                 slopes = sums[:, segs] @ weights[:, part]
-                if inside is not None:
-                    slopes += moments[:, segs] @ inside[:, part].astype(np.float64)
+                if self._spread or hits is not None:
+                    members = inside[:, part].astype(np.float64)
+                if self._spread:
+                    slopes += moments[:, segs] @ members
                 slopes /= self._sxx[window]
                 flags = None
-                if prefix is not None:
-                    flagged = prefix[:, self._stop[window]] > prefix[:, self._first[window]]
+                if hits is not None:
+                    flagged = hits[:, segs] @ members > 0.0
                     if flagged.any():
                         flags = flagged
                         slopes[flagged] = np.nan

@@ -89,27 +89,41 @@ def test_window_slopes_flag_nonfinite_rows():
     for cols, block, flags in grid.slope_blocks(ys):
         assert np.array_equal(flags, np.isnan(block))
     assert all(flags is None for _, _, flags in grid.slope_blocks(ys[:1]))
+    # one point per segment, and window (0, 2)'s middle weight a_1 - xbar_w is
+    # exactly 0: membership, not the weight, makes a value part of a window
+    grid = WindowGrid([0.0, 1.0, 2.0], [(0, 1), (1, 2), (0, 2)])
+    [(_, _, weights, _)] = grid._blocks
+    assert weights[1, 2] == 0.0
+    [(_, slopes, flags)] = grid.slope_blocks([[0.0, -np.inf, 2.0]])
+    assert np.all(np.isnan(slopes)) and np.all(flags)
 
 
 def test_flags_follow_nonfinite_values_across_blocks(monkeypatch):
-    # 3 windows per weight block and 1 per slope block: flags must land in the right columns
+    # a few windows per weight block and 1 per slope block: flags must land in
+    # the right columns, also where the moments of several-point segments count
     monkeypatch.setattr(series, "_CHUNK", 40)
-    xs = np.log(np.arange(1.0, 13.0))
-    windows = [(a, b) for a in range(12) for b in range(a + 1, 12)]
-    ys = np.random.default_rng(5).standard_normal((30, 12))
-    ys[3, 5], ys[10, 11], ys[20, 0], ys[21, 6] = -np.inf, np.nan, np.inf, -np.inf
-    bad = np.array([[not np.isfinite(row[a : b + 1]).all() for a, b in windows] for row in ys])
-    blocks = 0
-    for cols, slopes, flags in WindowGrid(xs, windows).slope_blocks(ys):
-        blocks += 1
-        assert np.array_equal(np.isnan(slopes), bad[:, cols])
-        assert (flags is None) == (not bad[:, cols].any())
-        if flags is not None:
-            assert np.array_equal(flags, bad[:, cols])
-        for r, w in zip(*np.nonzero(~bad[:, cols])):
-            (a, b), slope = windows[cols.start + w], slopes[r, w]
-            assert slope == pytest.approx(oracles.ols_slope(xs[a : b + 1], ys[r, a : b + 1]), rel=1e-10)
-    assert blocks == len(windows)
+    cuts = [0, 2, 5, 9, 11, 14, 18, 20]  # strided windows: segments of 2, 3 and 4 points
+    for n, windows, spread in (
+        (12, [(a, b) for a in range(12) for b in range(a + 1, 12)], False),
+        (20, [(a, b - 1) for i, a in enumerate(cuts) for b in cuts[i + 1 :]], True),
+    ):
+        xs = np.log(np.arange(1.0, n + 1.0))
+        ys = np.random.default_rng(5).standard_normal((30, n))
+        ys[3, 5], ys[10, 11], ys[20, 0], ys[21, 6], ys[22, 10] = -np.inf, np.nan, np.inf, -np.inf, np.nan
+        bad = np.array([[not np.isfinite(row[a : b + 1]).all() for a, b in windows] for row in ys])
+        grid = WindowGrid(xs, windows)
+        assert grid._spread == spread and len(grid._blocks) > 1
+        blocks = 0
+        for cols, slopes, flags in grid.slope_blocks(ys):
+            blocks += 1
+            assert np.array_equal(np.isnan(slopes), bad[:, cols])
+            assert (flags is None) == (not bad[:, cols].any())
+            if flags is not None:
+                assert np.array_equal(flags, bad[:, cols])
+            for r, w in zip(*np.nonzero(~bad[:, cols])):
+                (a, b), slope = windows[cols.start + w], slopes[r, w]
+                assert slope == pytest.approx(oracles.ols_slope(xs[a : b + 1], ys[r, a : b + 1]), rel=1e-10)
+        assert blocks == len(windows)
 
 
 def test_batched_rows_match_per_series_functions():

@@ -8,8 +8,18 @@ import tracemalloc
 
 import numpy as np
 
-from lrdetect import FgnParams, StudyConfig, TimeSeries, read_series_csv, run_study, write_series_csv
+from lrdetect import (
+    FgnParams,
+    StudyConfig,
+    TimeSeries,
+    default_gph_grid,
+    read_series_csv,
+    run_study,
+    write_series_csv,
+)
 from lrdetect.fgn import _embedding_amplitudes, simulate_fgn_paths, uniform_draws
+from lrdetect.gph import gph_regressors
+from lrdetect.series import WindowGrid
 from lrdetect.varplot import block_variance_rows
 
 N = 1 << 18
@@ -78,3 +88,18 @@ def test_study_reports_retain_few_bytes_per_window():
     finally:
         tracemalloc.stop()
     assert retained / len(reports) <= 72
+
+
+def test_window_grid_retains_few_bytes_per_block_cell():
+    # float64 weights and a bool membership per (segment, window) cell: 9.13
+    # bytes measured (a float64 membership would make 16)
+    xs, windows = gph_regressors(np.arange(1, 100), 100), np.asarray(default_gph_grid(100)) - 1
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        grid = WindowGrid(xs, windows)
+        retained = tracemalloc.get_traced_memory()[0] - live
+    finally:
+        tracemalloc.stop()
+    cells = sum(weights.size for _, _, weights, _ in grid._blocks)
+    assert retained / cells <= 10
