@@ -36,20 +36,20 @@ def _cmd_simulate(args) -> int:
     params = FgnParams(hurst=args.hurst, n=args.length, sigma2=args.sigma2)
     # provenance sidecar: how each CSV's series was made; the seed is added per file
     record = {"model": args.scenario, "hurst": params.hurst, "sigma2": params.sigma2, "n": params.n}
-    subordination = None
-    if args.scenario == "subordinated-fgn":
-        subordination = SubordinationParams(args.alpha)
+    subordination = SubordinationParams(args.alpha)  # checked in every scenario, before any file
+    subordinated = args.scenario == "subordinated-fgn"
+    if subordinated:
         record["alpha"] = subordination.alpha
     out_dir = Path(args.out_dir)
     for rep in range(args.count):
         seed = replication_seed(args.seed, args.scenario, 0, rep)
         series = simulate_fgn(params, seed)
-        if subordination is not None:
+        if subordinated:
             series = subordinate(series, subordination)
         out_dir.mkdir(parents=True, exist_ok=True)  # once a series exists: a failed simulation leaves no directory
         path = write_series_csv(series, out_dir / f"{args.scenario}_h{args.hurst:.4f}_r{rep:03d}.csv")
         sidecar = json.dumps({**record, "seed": seed}, sort_keys=True, indent=2) + "\n"
-        path.with_suffix(".json").write_text(sidecar)
+        path.with_suffix(".json").write_text(sidecar, encoding="utf-8")
         print(path)
     return 0
 

@@ -126,8 +126,8 @@ class SubordinationParams:
     alpha: float
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
 
 def _even_binomial_tail(a: float, u2: np.ndarray) -> np.ndarray:

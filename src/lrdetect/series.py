@@ -17,7 +17,7 @@ from .errors import DegenerateDesign, OverflowValue, echo
 _CSV_CHUNK = 1 << 16
 _CSV_SLICE = 20 * _CSV_CHUNK
 # Elements that bound one block of window weights and of its boolean membership
-# (segments x windows), and of slopes and their flags (rows x windows).
+# (segments x windows), and of slopes, NaN where a window is unusable (rows x windows).
 _CHUNK = 1 << 16
 
 
@@ -67,7 +67,7 @@ def ols_slope(xs, ys) -> RegressionFit:
         raise DegenerateDesign("design needs >= 2 paired points")
     if np.all(x == x[0]):
         raise DegenerateDesign("all abscissae coincide")
-    [(_, slopes, _)] = WindowGrid(x, [(0, x.size - 1)]).slope_blocks(y[None, :])
+    [(_, slopes)] = WindowGrid(x, [(0, x.size - 1)]).slope_blocks(y[None, :])
     return RegressionFit(float(slopes[0, 0]))
 
 
@@ -116,7 +116,7 @@ class WindowGrid:
     The (segments x windows) weight blocks, at most ``_CHUNK`` elements each,
     are built once, here, and serve every call, each beside its boolean
     membership, which segments make up each window.  Membership alone decides
-    which windows a non-finite value makes unusable: a weight can be zero.
+    which windows a non-finite value makes unusable (NaN slopes): a weight can be zero.
     """
 
     def __init__(self, xs, windows):
@@ -163,13 +163,11 @@ class WindowGrid:
             self._blocks.append((cols, segs, weights, inside))
 
     def slope_blocks(self, ys):
-        """Yield (window slice, slopes of every row there, flags), one bounded block at a time.
+        """Yield (window slice, slopes of every row there), one bounded block at a time.
 
         A window is unusable in a row when its membership meets a non-finite
-        value of the row, the rule ``_log_curve_slope`` applies to one window;
-        its slope there is NaN.  flags is the boolean mask of exactly those
-        slopes, the NaNs of the block, and None for a block in which no slope
-        is flagged.
+        value of the row, the rule ``_log_curve_slope`` applies to one window.
+        Its slope there is NaN, the one mark of an unusable window.
         """
         values = np.asarray(ys, dtype=np.float64)[:, self._span]
         bad = ~np.isfinite(values)
@@ -193,13 +191,9 @@ class WindowGrid:
                 if self._spread:
                     slopes += moments[:, segs] @ members
                 slopes /= self._sxx[window]
-                flags = None
                 if hits is not None:
-                    flagged = hits[:, segs] @ members > 0.0
-                    if flagged.any():
-                        flags = flagged
-                        slopes[flagged] = np.nan
-                yield window, slopes, flags
+                    slopes[hits[:, segs] @ members > 0.0] = np.nan
+                yield window, slopes
 
 
 def _read_text(path) -> str:
@@ -267,7 +261,7 @@ def write_series_csv(x: TimeSeries, path) -> Path:
     ``repr(v)``: the bytes ``csv.writer`` writes, ``_CSV_CHUNK`` rows per write."""
     path = Path(path)
     values = x.values
-    with path.open("w", newline="") as fh:
+    with path.open("w", encoding="utf-8", newline="") as fh:
         fh.write("value\r\n")
         for start in range(0, values.size, _CSV_CHUNK):
             fh.write("\r\n".join(map(repr, values[start : start + _CSV_CHUNK].tolist())) + "\r\n")

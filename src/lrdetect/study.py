@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, WindowExceedsSeries, echo
 from .excursion import MAX_PSI, QuantileMeasure, draw_levels, excursion_rows
-from .fgn import MAX_LENGTH, FgnParams, simulate_fgn_paths
+from .fgn import MAX_LENGTH, FgnParams, SubordinationParams, simulate_fgn_paths
 from .gph import GPH_LRD_THRESHOLD, GphConfig, gph_regressors, ordinate_rows
 from .series import WindowGrid, _read_text
 from .varplot import VARIANCE_LRD_THRESHOLD, VariancePlotConfig, block_variance_rows
@@ -64,10 +64,10 @@ CSV_COLUMNS = (
 # One row of CSV_COLUMNS: the counts written as they are, then the derived
 # metrics to six decimals ("nan" when undefined), as csv.writer wrote them.
 _CSV_ROW = "%s,%d,%d,%d,%d,%d,%d,%d,%.6f,%.6f,%.6f\r\n"
-# Where a cell's [non-LRD, LRD, skip] label counts add in a report block (rows
-# n1, n2, tp, fp, tn, fn, skips), by the truth of its Hurst value: a non-LRD
-# series labelled non-LRD is a tn and labelled LRD an fp; an LRD one, fn and tp.
-_ROWS_BY_TRUTH = ([4, 3, 6], [5, 2, 6])
+# Where a cell's [non-LRD, LRD, skip] label counts add in a task's count rows
+# (tp, fp, tn, fn, skips), by the truth of its Hurst value: a non-LRD series
+# labelled non-LRD is a tn and labelled LRD an fp; an LRD one, fn and tp.
+_ROWS_BY_TRUTH = ([2, 1, 4], [3, 0, 4])
 
 
 def ground_truth_label(scenario: str, hurst: float) -> str:
@@ -269,8 +269,10 @@ class StudyConfig:
             raise ConfigError(f"level_seed must lie in [0, 2**64), got {echo.repr(self.level_seed)}")
         if not 1 <= self.psi <= MAX_PSI:
             raise ConfigError(f"psi must lie in [1, {MAX_PSI}], got {echo.repr(self.psi)}")
-        if not self.alpha > 0:
-            raise ConfigError("alpha must be positive")
+        try:
+            SubordinationParams(self.alpha)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if not 1 <= self.workers <= MAX_WORKERS:
             raise ConfigError(f"workers must lie in [1, {MAX_WORKERS}], got {echo.repr(self.workers)}")
         grid = self.resolved_hurst_grid()
@@ -383,22 +385,23 @@ def pool_size(workers: int, jobs: int) -> int:
 
 
 def _tally(grid: WindowGrid, logs: np.ndarray, threshold: float) -> np.ndarray:
-    """Three rows, how many series each window labels non-LRD, LRD and skip;
-    LRD iff slope > threshold."""
+    """Three rows, how many series each window labels non-LRD, LRD and skip:
+    LRD iff slope > threshold, skip iff the slope is NaN (an unusable window)."""
     counts = np.zeros((3, grid.size), dtype=np.int64)
-    for cols, slopes, flags in grid.slope_blocks(logs):
+    skips = not np.isfinite(logs).all()  # without a non-finite log, no window is unusable
+    for cols, slopes in grid.slope_blocks(logs):
         # int32 holds the count: a cell has at most _CHUNK // 8 rows
         counts[1, cols] = np.add.reduce(np.greater(slopes, threshold).view(np.uint8), axis=0, dtype=np.int32)
-        if flags is not None:
-            counts[2, cols] = np.count_nonzero(flags, axis=0)
+        if skips:
+            counts[2, cols] = np.add.reduce(np.isnan(slopes).view(np.uint8), axis=0, dtype=np.int32)
     counts[0] = logs.shape[0] - counts[1] - counts[2]
     return counts
 
 
 def _count_cells(cfg: StudyConfig, levels: QuantileMeasure | None, task) -> tuple[np.ndarray, np.ndarray]:
-    """The variance and GPH report blocks of one task, rows n1 and n2 from the
-    length's grids, then the label counts of every replication of the Hurst
-    values ``h_indices`` at length n.
+    """The variance and GPH count rows of one task, tp, fp, tn, fn and skips
+    per window: the labels of every replication of the Hurst values
+    ``h_indices`` at length n, a NaN slope counting as a skip.
 
     A length's variance windows regress log S_l^2 on log l over block lengths
     lmin..lmax, and its GPH windows regress log I(lambda_j) on -2 log lambda_j
@@ -411,7 +414,7 @@ def _count_cells(cfg: StudyConfig, levels: QuantileMeasure | None, task) -> tupl
     lmin, lmax = int(var_grid[:, 0].min()), int(var_grid[:, 1].max())
     variance = WindowGrid(np.log(np.arange(lmin, lmax + 1, dtype=np.float64)), var_grid - lmin)
     gph = WindowGrid(gph_regressors(np.arange(1, n), n), gph_grid - 1)
-    blocks = tuple(np.vstack([grid.T, np.zeros((5, len(grid)), dtype=np.int64)]) for grid in (var_grid, gph_grid))
+    counts = tuple(np.zeros((5, len(grid)), dtype=np.int64) for grid in (var_grid, gph_grid))
     hurst_grid = cfg.resolved_hurst_grid()
     step = max(1, _CHUNK // (2 * n))
     for h_index in h_indices:
@@ -429,10 +432,10 @@ def _count_cells(cfg: StudyConfig, levels: QuantileMeasure | None, task) -> tupl
             with np.errstate(divide="ignore"):
                 var_logs = np.log(block_variance_rows(rows, lmin, lmax))
                 gph_logs = np.log(ordinate_rows(rows)[:, 1:])
-            blocks[0][rows_by_label] += _tally(variance, var_logs, VARIANCE_LRD_THRESHOLD)
-            blocks[1][rows_by_label] += _tally(gph, gph_logs, GPH_LRD_THRESHOLD)
+            counts[0][rows_by_label] += _tally(variance, var_logs, VARIANCE_LRD_THRESHOLD)
+            counts[1][rows_by_label] += _tally(gph, gph_logs, GPH_LRD_THRESHOLD)
             del rows, var_logs, gph_logs  # freed before the next cell simulates
-    return blocks
+    return counts
 
 
 def run_study(cfg: StudyConfig) -> StudyReports:
@@ -441,9 +444,9 @@ def run_study(cfg: StudyConfig) -> StudyReports:
 
     The work splits into tasks of one length each, and with ``cfg.workers > 1``
     a length's Hurst values are dealt round-robin to as many tasks as the
-    process pool has processes.  Each task returns its length's report blocks,
-    whose integer label counts are summed, so output is identical for every
-    worker count.
+    process pool has processes.  Each (length, estimator) report block is
+    built once, rows n1 and n2 from its grid, and every task's integer count
+    rows add into it, so output is identical for every worker count.
     """
     levels = None
     if cfg.scenario == "subordinated-fgn":
@@ -464,13 +467,10 @@ def run_study(cfg: StudyConfig) -> StudyReports:
 
         with ProcessPoolExecutor(max_workers=size) as pool:
             counted = list(pool.map(count, tasks))
-    blocks = {}  # per length, the first task's report blocks, to which the other tasks' counts add
-    for (n, *_), task_blocks in zip(tasks, counted):
-        if n in blocks:
-            for block, part in zip(blocks[n], task_blocks):
-                block[2:] += part[2:]
-        else:
-            blocks[n] = task_blocks
+    blocks = {n: [np.vstack([grid.T, np.zeros((5, len(grid)), dtype=np.int64)]) for grid in grids[n]] for n in grids}
+    for (n, *_), counts in zip(tasks, counted):
+        for block, part in zip(blocks[n], counts):
+            block[2:] += part
     return StudyReports((estimator, n, block) for n in cfg.lengths for estimator, block in zip(ESTIMATORS, blocks[n]))
 
 
@@ -517,7 +517,7 @@ def write_study_outputs(cfg: StudyConfig, reports: StudyReports, out_dir) -> lis
             columns = [column.tolist() for column in (*counts, *_metrics(*counts[2:6]))]
             rows += [_CSV_ROW % row for row in zip(itertools.repeat(estimator), *columns)]
         path = out_dir / f"results_{cfg.scenario}_n{n}.csv"
-        path.write_text(",".join(CSV_COLUMNS) + "\r\n" + "".join(rows), newline="")
+        path.write_text(",".join(CSV_COLUMNS) + "\r\n" + "".join(rows), encoding="utf-8", newline="")
         written.append(path)
     manifest = {
         **vars(cfg),
@@ -525,7 +525,7 @@ def write_study_outputs(cfg: StudyConfig, reports: StudyReports, out_dir) -> lis
         "level_seed": cfg.resolved_level_seed(),
     }
     path = out_dir / f"manifest_{cfg.scenario}.json"
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     written.append(path)
     return written
 

@@ -66,10 +66,14 @@ def test_simulate_rejects_bad_seed_and_count_before_writing(tmp_path, capsys, fl
     assert not out_dir.exists()
 
 
-def test_simulate_rejects_bad_alpha_before_writing(tmp_path, capsys):
+@pytest.mark.parametrize("alpha", ["0", "-5", "inf", "nan"])
+@pytest.mark.parametrize("scenario", ["fgn", "subordinated-fgn"])
+def test_simulate_rejects_bad_alpha_before_writing(tmp_path, capsys, scenario, alpha):
+    # fgn never reads alpha, yet a bad one is refused there too; an infinite one
+    # would reach the sidecar as the token Infinity, which is not JSON
     out_dir = tmp_path / "out"
-    argv = ["simulate", "--scenario", "subordinated-fgn", "--hurst", "0.7", "--length", "16"]
-    assert main([*argv, "--seed", "3", "--alpha", "0", "--out-dir", str(out_dir)]) == 1
+    argv = ["simulate", "--scenario", scenario, "--hurst", "0.7", "--length", "16"]
+    assert main([*argv, "--seed", "3", "--alpha", alpha, "--out-dir", str(out_dir)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "alpha" in err
     assert not out_dir.exists()
@@ -404,8 +408,14 @@ def test_study_allows_repeated_hurst_values(tmp_path, capsys):
         ('{"lengths": [50],\n "psi": 1\udcff}', ["--replications", "100"], "{config}: line 2: not UTF-8 text"),
         # json.loads refuses an integer past Python's 4,300-digit limit with a plain ValueError
         ('{"level_seed": ' + "9" * 5000 + "}", ["--replications", "100"], "{config}: not valid JSON: "),
+        # json.loads reads the non-JSON token Infinity as a float
+        ('{"alpha": Infinity}', ["--replications", "100"], "alpha must be positive and finite, got inf"),
+        ("[1, 2]", ["--replications", "100"], "{config}: expected a JSON object of study settings"),
     ],
-    ids=["malformed-json", "replications-past-ceiling", "not-utf-8", "not-utf-8-line-2", "integer-past-digit-limit"],
+    ids=[
+        "malformed-json", "replications-past-ceiling", "not-utf-8", "not-utf-8-line-2", "integer-past-digit-limit",
+        "infinite-alpha", "not-an-object",
+    ],
 )
 def test_study_input_errors_name_what_was_given(tmp_path, capsys, monkeypatch, config, flags, message):
     def no_compute(cfg):
@@ -715,6 +725,26 @@ def test_rank_orders_ties_and_nan_metrics(tmp_path, capsys):
         (tmp_path / name).write_text(text)
     assert main(["rank", *(str(tmp_path / name) for name in _RANKED_FILES), "-k", "100"]) == 0
     assert capsys.readouterr().out == _RANKED
+
+
+def test_rank_skips_blank_lines(tmp_path, capsys):
+    text = _RANKED_FILES["b_n60.csv"]
+    (tmp_path / "b_n60.csv").write_text(text)
+    assert main(["rank", str(tmp_path / "b_n60.csv"), "-k", "100"]) == 0
+    plain = capsys.readouterr().out
+    # blank lines after the header, between rows and at the end
+    (tmp_path / "blank_n60.csv").write_text(text.replace("\n", "\n\n", 3) + "\n")
+    assert main(["rank", str(tmp_path / "blank_n60.csv"), "-k", "100"]) == 0
+    assert capsys.readouterr().out == plain and plain.count("\n") == 6
+
+
+def test_rank_refuses_a_header_only_file(tmp_path, capsys):
+    results = tmp_path / "results_fgn_n50.csv"
+    results.write_text(_REPORT_HEADER + "\n")
+    assert main(["rank", str(results)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no rows found in the given results files\n"
 
 
 def test_rank_rejects_results_name_without_length(tmp_path, capsys):

@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
 from lrdetect import (
+    EmbeddingFailure,
     FgnParams,
     OverflowValue,
     SubordinationParams,
@@ -15,6 +17,7 @@ from lrdetect import (
     subordinate,
 )
 from lrdetect import fgn
+from lrdetect.cli import main
 from lrdetect.fgn import (
     _EXP_M2,
     _autocovariance_vector,
@@ -192,8 +195,34 @@ def test_subordinate_overflow():
 
 
 def test_subordination_params_validation():
-    with pytest.raises(ValueError):
-        SubordinationParams(0.0)
+    for alpha in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            SubordinationParams(alpha)
+
+
+@pytest.fixture
+def empty_embedding_cache():
+    _embedding_amplitudes.cache_clear()
+    yield
+    _embedding_amplitudes.cache_clear()
+
+
+def test_embedding_failure_is_raised_and_reported(monkeypatch, tmp_path, capsys, empty_embedding_cache):
+    # gamma(1) = 2 gamma(0) is no autocovariance: its circulant has a negative eigenvalue
+    def broken(params, lags):
+        gamma = _autocovariance_vector(params, lags)
+        gamma[1] = 2.0 * gamma[0]
+        return gamma
+
+    monkeypatch.setattr(fgn, "_autocovariance_vector", broken)
+    message = "circulant eigenvalue -2.783e+00 below tolerance for H=0.7, n=50"
+    with pytest.raises(EmbeddingFailure, match=rf"^{re.escape(message)}$"):
+        simulate_fgn(FgnParams(0.7, 50), 1)
+    out_dir = tmp_path / "out"
+    argv = ["simulate", "--scenario", "fgn", "--hurst", "0.7", "--length", "50", "--seed", "1"]
+    assert main([*argv, "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
 
 
 def _ulps(a, b):

@@ -29,7 +29,7 @@ def _slopes(grid, ys):
     """Slopes of every row (axis 0 of ``ys``) over every window of ``grid``, shape (rows, windows)."""
     ys = np.asarray(ys, dtype=np.float64)
     out = np.empty((ys.shape[0], grid.size))
-    for cols, slopes, _ in grid.slope_blocks(ys):
+    for cols, slopes in grid.slope_blocks(ys):
         out[:, cols] = slopes
     return out
 
@@ -84,22 +84,17 @@ def test_window_slopes_flag_nonfinite_rows():
     assert np.all(np.isfinite(slopes[0]))
     assert np.isfinite(slopes[1, 0]) and np.isnan(slopes[1, 1]) and np.isfinite(slopes[1, 2])
     assert slopes[1, 0] == slopes[0, 0]
-    # the tally counts skips from the flags: set exactly where a slope is NaN
-    grid = WindowGrid(xs, [(0, 4), (2, 8), (7, 9)])
-    for cols, block, flags in grid.slope_blocks(ys):
-        assert np.array_equal(flags, np.isnan(block))
-    assert all(flags is None for _, _, flags in grid.slope_blocks(ys[:1]))
     # one point per segment, and window (0, 2)'s middle weight a_1 - xbar_w is
     # exactly 0: membership, not the weight, makes a value part of a window
     grid = WindowGrid([0.0, 1.0, 2.0], [(0, 1), (1, 2), (0, 2)])
     [(_, _, weights, _)] = grid._blocks
     assert weights[1, 2] == 0.0
-    [(_, slopes, flags)] = grid.slope_blocks([[0.0, -np.inf, 2.0]])
-    assert np.all(np.isnan(slopes)) and np.all(flags)
+    [(_, slopes)] = grid.slope_blocks([[0.0, -np.inf, 2.0]])
+    assert np.all(np.isnan(slopes))
 
 
 def test_flags_follow_nonfinite_values_across_blocks(monkeypatch):
-    # a few windows per weight block and 1 per slope block: flags must land in
+    # a few windows per weight block and 1 per slope block: NaN slopes must land in
     # the right columns, also where the moments of several-point segments count
     monkeypatch.setattr(series, "_CHUNK", 40)
     cuts = [0, 2, 5, 9, 11, 14, 18, 20]  # strided windows: segments of 2, 3 and 4 points
@@ -114,12 +109,9 @@ def test_flags_follow_nonfinite_values_across_blocks(monkeypatch):
         grid = WindowGrid(xs, windows)
         assert grid._spread == spread and len(grid._blocks) > 1
         blocks = 0
-        for cols, slopes, flags in grid.slope_blocks(ys):
+        for cols, slopes in grid.slope_blocks(ys):
             blocks += 1
             assert np.array_equal(np.isnan(slopes), bad[:, cols])
-            assert (flags is None) == (not bad[:, cols].any())
-            if flags is not None:
-                assert np.array_equal(flags, bad[:, cols])
             for r, w in zip(*np.nonzero(~bad[:, cols])):
                 (a, b), slope = windows[cols.start + w], slopes[r, w]
                 assert slope == pytest.approx(oracles.ols_slope(xs[a : b + 1], ys[r, a : b + 1]), rel=1e-10)

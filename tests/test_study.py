@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -44,7 +45,7 @@ import oracles
 def _labels(grid, logs, threshold):
     """Study labels of one series per window of ``grid``: 1 = LRD, 0 = non-LRD, 2 = skip."""
     labels = np.empty(grid.size, dtype=np.int64)
-    for cols, slopes, _ in grid.slope_blocks(logs[None, :]):
+    for cols, slopes in grid.slope_blocks(logs[None, :]):
         labels[cols] = np.where(np.isnan(slopes[0]), 2, np.where(slopes[0] > threshold, 1, 0))
     return labels
 
@@ -234,6 +235,13 @@ def test_replications_have_a_ceiling():
     small_cfg(replications=MAX_REPLICATIONS)
     with pytest.raises(ConfigError, match="replications"):
         small_cfg(replications=MAX_REPLICATIONS + 1)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.inf, math.nan])
+def test_alpha_must_be_positive_and_finite(alpha):
+    # the rule is SubordinationParams', raised as a ConfigError naming alpha
+    with pytest.raises(ConfigError, match=rf"^alpha must be positive and finite, got {alpha}$"):
+        small_cfg(alpha=alpha)
 
 
 def test_psi_has_a_ceiling():

@@ -166,6 +166,10 @@ def test_config_resolution_rules():
     # m * n**delta overflows to inf here; the clamp comes before the ceiling
     with pytest.warns(RuntimeWarning, match="upper end inf clamped to 999"):
         assert VariancePlotConfig(delta=0.25, m=1e308).resolve(1000) == (5, 999)
+    # a clamped window can shrink to one block length: the clamp warns, then the window fails
+    with pytest.warns(RuntimeWarning, match="upper end 5 clamped to 2, one below series length 3"):
+        with pytest.raises(WindowExceedsSeries, match=r"^resolved window \[2, 2\] has fewer than 2 block lengths$"):
+            VariancePlotConfig(delta=0.9, m=1.5).resolve(3)
 
 
 def test_config_validation():
