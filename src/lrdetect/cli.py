@@ -13,7 +13,7 @@ from .errors import ConfigError, LrdetectError, echo
 from .excursion import MAX_PSI, QuantileMeasure, draw_levels, fit_series
 from .fgn import FgnParams, SubordinationParams, simulate_fgn, subordinate
 from .gph import GphConfig
-from .series import _read_text, read_series_csv, write_series_csv
+from .series import _read_text, _write_json, read_series_csv, write_series_csv
 from .study import (
     ESTIMATORS,
     SCENARIOS,
@@ -46,10 +46,8 @@ def _cmd_simulate(args) -> int:
         series = simulate_fgn(params, seed)
         if subordinated:
             series = subordinate(series, subordination)
-        out_dir.mkdir(parents=True, exist_ok=True)  # once a series exists: a failed simulation leaves no directory
         path = write_series_csv(series, out_dir / f"{args.scenario}_h{args.hurst:.4f}_r{rep:03d}.csv")
-        sidecar = json.dumps({**record, "seed": seed}, sort_keys=True, indent=2) + "\n"
-        path.with_suffix(".json").write_text(sidecar, encoding="utf-8")
+        _write_json(path.with_suffix(".json"), {**record, "seed": seed})
         print(path)
     return 0
 

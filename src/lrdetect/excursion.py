@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import echo
 from .fgn import uniform_draws
 from .gph import GphConfig, classify_lrd_gph, gph_estimate
 from .series import RegressionFit, TimeSeries
@@ -42,7 +43,7 @@ def draw_levels(psi: int, seed: int) -> QuantileMeasure:
     """psi uniform levels strictly inside (0, 1); a fixed seed yields a fixed
     panel meant to be shared by every series of a study."""
     if not 1 <= psi <= MAX_PSI:
-        raise ValueError(f"psi must lie in [1, {MAX_PSI}], got {psi}")
+        raise ValueError(f"psi must lie in [1, {MAX_PSI}], got {echo.repr(psi)}")
     return QuantileMeasure(uniform_draws([seed], psi, name="level seed")[0])
 
 

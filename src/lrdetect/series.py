@@ -1,9 +1,13 @@
 """Series container, its CSV form, ``_read_text``, the one decoding of an input
-file, ``WindowGrid``, the one least-squares kernel, and ``_log_curve_slope``, the
-one check of an estimator window's curve."""
+file, ``_write_text``, the one writer of an output file, ``WindowGrid``, the one
+least-squares kernel, and ``_log_curve_slope``, the one check of an estimator
+window's curve."""
 
 from __future__ import annotations
 
+import itertools
+import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -214,6 +218,31 @@ def _read_text(path) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
+def _write_text(path, parts) -> Path:
+    """Write the str ``parts`` in order as the file ``path``, the one way every
+    output file is written: UTF-8, line ends as given, the parent directory made
+    when missing.  The file is complete or absent: the parts go to a sibling
+    ``.{name}.{pid}.partial``, renamed onto ``path`` once all are written and
+    removed when anything fails, an interrupt included.  Returns the path."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.partial")
+    try:
+        with partial.open("x", encoding="utf-8", newline="") as fh:
+            fh.writelines(parts)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    return path
+
+
+def _write_json(path, record) -> Path:
+    """Write ``record`` as the manifest and the sidecar are written: JSON with
+    sorted keys, an indent of 2 and a final newline."""
+    return _write_text(path, [json.dumps(record, sort_keys=True, indent=2), "\n"])
+
+
 def read_series_csv(path) -> TimeSeries:
     """Read a single-column CSV (``_read_text``): an optional ``value`` header (any
     case, padded), then one unquoted float per line in time order; empty lines are skipped.
@@ -252,17 +281,18 @@ def read_series_csv(path) -> TimeSeries:
         except ValueError:
             finite = False
         if not finite:
-            raise ValueError(f"{path}: line {number}: expected a finite float, got {line!r}")
+            raise ValueError(f"{path}: line {number}: expected a finite float, got {echo.repr(line)}")
     raise ValueError(f"{path}: no values")
 
 
 def write_series_csv(x: TimeSeries, path) -> Path:
     """Write the series as a single ``value`` column, CRLF-terminated rows of
-    ``repr(v)``: the bytes ``csv.writer`` writes, ``_CSV_CHUNK`` rows per write."""
-    path = Path(path)
+    ``repr(v)``: the bytes ``csv.writer`` writes, ``_CSV_CHUNK`` rows per write
+    of ``_write_text``, which also makes a missing parent directory."""
     values = x.values
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        fh.write("value\r\n")
-        for start in range(0, values.size, _CSV_CHUNK):
-            fh.write("\r\n".join(map(repr, values[start : start + _CSV_CHUNK].tolist())) + "\r\n")
-    return path
+    # one expression per chunk, so its list of floats is freed before its text is written
+    rows = (
+        "\r\n".join(map(repr, values[start : start + _CSV_CHUNK].tolist())) + "\r\n"
+        for start in range(0, values.size, _CSV_CHUNK)
+    )
+    return _write_text(path, itertools.chain(["value\r\n"], rows))

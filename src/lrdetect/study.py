@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import json
 import math
 import numbers
 import operator
@@ -27,7 +26,7 @@ from .errors import ConfigError, WindowExceedsSeries, echo
 from .excursion import MAX_PSI, QuantileMeasure, draw_levels, excursion_rows
 from .fgn import MAX_LENGTH, FgnParams, SubordinationParams, simulate_fgn_paths
 from .gph import GPH_LRD_THRESHOLD, GphConfig, gph_regressors, ordinate_rows
-from .series import WindowGrid, _read_text
+from .series import WindowGrid, _read_text, _write_json, _write_text
 from .varplot import VARIANCE_LRD_THRESHOLD, VariancePlotConfig, block_variance_rows
 
 SCENARIOS = ("fgn", "subordinated-fgn")
@@ -140,7 +139,7 @@ def _seed_hash(*entropy):
             continue
         e = int(e)
         if e < 0:
-            raise ValueError(f"expected non-negative integer, got {e}")
+            raise ValueError(f"expected non-negative integer, got {echo.repr(e)}")
         words.append(e & mask)
         while e >> 32:
             e >>= 32
@@ -484,7 +483,7 @@ def rank_cutoffs(reports: StudyReports, k: int) -> list[MetricsReport]:
     if not reports:
         raise ValueError("no reports to rank")
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise ValueError(f"k must be >= 1, got {echo.repr(k)}")
 
     def key(r: MetricsReport):
         accuracy = -1.0 if math.isnan(r.accuracy) else r.accuracy
@@ -505,29 +504,29 @@ def write_study_outputs(cfg: StudyConfig, reports: StudyReports, out_dir) -> lis
     study again and rewrites every file byte for byte.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     blocks = sorted(reports.blocks, key=operator.itemgetter(0))  # by estimator name
     for n in cfg.lengths:
-        rows = []
+        rows = [",".join(CSV_COLUMNS) + "\r\n"]
         for estimator, length, counts in blocks:
             if length != n:
                 continue
             counts = counts[:, np.lexsort((counts[1], counts[0]))]
             columns = [column.tolist() for column in (*counts, *_metrics(*counts[2:6]))]
             rows += [_CSV_ROW % row for row in zip(itertools.repeat(estimator), *columns)]
-        path = out_dir / f"results_{cfg.scenario}_n{n}.csv"
-        path.write_text(",".join(CSV_COLUMNS) + "\r\n" + "".join(rows), encoding="utf-8", newline="")
-        written.append(path)
+        written.append(_write_text(out_dir / f"results_{cfg.scenario}_n{n}.csv", rows))
     manifest = {
         **vars(cfg),
         "hurst_grid": [float(h) for h in cfg.resolved_hurst_grid()],
         "level_seed": cfg.resolved_level_seed(),
     }
-    path = out_dir / f"manifest_{cfg.scenario}.json"
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    written.append(path)
+    written.append(_write_json(out_dir / f"manifest_{cfg.scenario}.json", manifest))
     return written
+
+
+def _echo_row(values) -> str:
+    """A metrics row's seven integer fields, each cut short by ``echo``."""
+    return f"[{', '.join(map(echo.repr, values))}]"
 
 
 def read_report_csv(path) -> StudyReports:
@@ -564,15 +563,19 @@ def read_report_csv(path) -> StudyReports:
             try:
                 n1, n2, *counts = (int(value) for value in values)
             except ValueError:
-                raise ValueError(f"{line}: n1, n2 and the counts must be integers, got {values}") from None
+                raise ValueError(f"{line}: n1, n2 and the counts must be integers, got {_echo_row(values)}") from None
             if estimator not in ESTIMATORS:
-                raise ValueError(f"{line}: estimator must be one of {', '.join(ESTIMATORS)}, got {estimator!r}")
+                raise ValueError(
+                    f"{line}: estimator must be one of {', '.join(ESTIMATORS)}, got {echo.repr(estimator)}"
+                )
             if not 1 <= n1 < n2:
-                raise ValueError(f"{line}: need 1 <= n1 < n2, got ({n1}, {n2})")
+                raise ValueError(f"{line}: need 1 <= n1 < n2, got {echo.repr((n1, n2))}")
             if min(counts) < 0:
-                raise ValueError(f"{line}: counts must be non-negative, got {values[2:]}")
+                raise ValueError(f"{line}: counts must be non-negative, got {echo.repr(values[2:])}")
             if max(n2, sum(counts)) > 1 << 53:
-                raise ValueError(f"{line}: n2 and the sum of the counts must be at most 2**53, got {values}")
+                raise ValueError(
+                    f"{line}: n2 and the sum of the counts must be at most 2**53, got {_echo_row(values)}"
+                )
             blocks[estimator].append((n1, n2, *counts))
     except csv.Error as exc:
         raise ValueError(f"{path}: line {rows.line_num}: {exc}") from None

@@ -1,7 +1,9 @@
 import ast
+import errno
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -535,15 +537,23 @@ _STUDY = ["study", "--seed", "1", "--replications", "1", "--workers", "1", "--ou
         (None, ["simulate", "--scenario", "fgn", "--hurst", "0.7", "--length", _HUGE, "--seed", "1",
                 "--out-dir", "out"], "length"),
         (None, ["rank", "results_fgn_n50.csv", "-k", f"-{_HUGE}"], "-k"),
+        # a value read from a file is echoed cut short too
+        (None, ["estimate", "long.csv", "--estimator", "variance", "--n1", "1", "--n2", "4"], "line 3"),
+        (None, ["rank", "results_long_n50.csv", "-k", "1"], "line 2"),
+        (None, ["rank", "results_wide_n50.csv", "-k", "1"], "line 2"),
     ],
     ids=[
         "study-level-seed", "study-workers", "estimate-level-seed", "study-variance-cutoffs", "study-gph-cutoffs",
         "study-repeated-cutoffs", "study-scenario", "estimate-n2", "estimate-bandwidth", "simulate-length", "rank-k",
+        "estimate-series-line", "rank-count-field", "rank-window",
     ],
 )
 def test_range_errors_echo_a_long_value_cut_short(tmp_path, capsys, monkeypatch, config, argv, name):
     monkeypatch.chdir(tmp_path)
     Path("x.csv").write_text("value\n" + "".join(f"{v}\n" for v in range(20)))
+    Path("long.csv").write_text("value\n1.0\n" + "x" * 100_000 + "\n2.0\n")
+    Path("results_long_n50.csv").write_text(_REPORT_HEADER + "gph,1,5,1,0,0," + "9" * 100_000 + ",0,1,1,nan\n")
+    Path("results_wide_n50.csv").write_text(_REPORT_HEADER + f"gph,{_HUGE},5,1,0,0,0,0,1,1,nan\n")
     if config is not None:
         Path("study.json").write_text(json.dumps(config))
         argv = [*argv, "--config", "study.json"]
@@ -826,6 +836,50 @@ def test_commands_load_no_heavy_modules(tmp_path):
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+# Runs one command in a process whose files may grow to argv[1] bytes at most
+# (no limit when negative): a write past the limit fails with EFBIG.
+_UNDER_A_FILE_SIZE_LIMIT = """
+import resource, signal, sys
+from lrdetect.cli import main
+
+limit = int(sys.argv[1])
+if limit >= 0:
+    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--scenario", "fgn", "--hurst", "0.7", "--length", "5000", "--seed", "1"],
+        ["study", "--seed", "1", "--scenario", "fgn", "--lengths", "50,100", "--replications", "2", "--workers", "1"],
+    ],
+    ids=["simulate", "study"],
+)
+def test_a_failed_write_leaves_every_file_whole_or_absent(tmp_path, argv):
+    pytest.importorskip("resource")
+    import lrdetect
+
+    src = str(Path(lrdetect.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+    def run(limit, out_dir):
+        command = [sys.executable, "-c", _UNDER_A_FILE_SIZE_LIMIT, str(limit), *argv, "--out-dir", str(out_dir)]
+        return subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+
+    assert run(-1, tmp_path / "whole").returncode == 0
+    whole = {path.name: path.read_bytes() for path in (tmp_path / "whole").iterdir()}
+    largest = max(whole, key=lambda name: len(whole[name]))
+    done = run(len(whole[largest]) - 1, tmp_path / "cut")
+    assert done.returncode == 1
+    assert done.stderr == f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}\n"
+    # the file that failed is absent, no partial file is left, and every other file is whole
+    cut = {path.name: path.read_bytes() for path in (tmp_path / "cut").iterdir()}
+    assert largest not in cut and cut.items() <= whole.items()
+
+
 def test_package_ships_no_test_reference():
     # the brute-force references live in tests/, and no package module imports
     # them, scipy (a test dependency) or anything else from the tests
@@ -841,6 +895,29 @@ def test_package_ships_no_test_reference():
                 continue
             imported += [(path.name, name) for name in names if {"scipy", "oracles", "tests"} & set(name.split("."))]
     assert imported == []
+
+
+def test_package_writes_through_one_writer():
+    # every output file becomes bytes in series._write_text, the one place that
+    # opens a file for writing or makes a directory
+    def writing_mode(arg):
+        return isinstance(arg, ast.Constant) and re.fullmatch(r"[rbt]*[wax+][rwxabt+]*", str(arg.value)) is not None
+
+    writes = []
+    for path in sorted(Path(lrdetect.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        writer = [fn for fn in tree.body if path.name == "series.py" and getattr(fn, "name", None) == "_write_text"]
+        inside = {id(node) for fn in writer for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in inside:
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            modes = [*node.args[:2], *(k.value for k in node.keywords if k.arg == "mode")]
+            opens = name == "open" and any(map(writing_mode, modes))
+            if opens or name in {"write_text", "write_bytes", "mkdir", "makedirs"}:
+                writes.append((path.name, node.lineno, name))
+    assert writes == []
 
 
 def test_estimate_gph_names_overflowing_ordinates(tmp_path, capsys):

@@ -21,6 +21,7 @@ from lrdetect import (
     default_gph_grid,
     default_hurst_grid,
     default_variance_grid,
+    draw_levels,
     gph_estimate,
     gph_from_ordinates,
     ground_truth_label,
@@ -404,6 +405,15 @@ def test_rank_cutoffs_orders_and_saturates():
     assert rank_cutoffs(table, 2) == top[:2]
     with pytest.raises(ValueError):
         rank_cutoffs(StudyReports([]), 5)
+
+
+def test_api_range_errors_echo_a_long_integer_cut_short():
+    huge = 10**4000
+    table = StudyReports([_block("gph", 200, (1, 30, 50, 50, 50, 50, 0))])
+    for call, args in [(draw_levels, (huge, 1)), (study._seed_hash, (-huge,)), (rank_cutoffs, (table, -huge))]:
+        with pytest.raises(ValueError) as caught:
+            call(*args)
+        assert len(str(caught.value)) < 100 and "..." in str(caught.value)
 
 
 def test_metrics_report_properties():
