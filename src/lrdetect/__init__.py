@@ -27,7 +27,6 @@ from .excursion import (
 from .fgn import (
     FgnParams,
     SubordinationParams,
-    fgn_autocovariance,
     simulate_fgn,
     subordinate,
 )

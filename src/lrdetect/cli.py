@@ -152,6 +152,13 @@ def _format_percent(value: float) -> str:
 def _cmd_rank(args) -> int:
     if args.k < 1:
         raise ConfigError(f"-k must be >= 1, got {echo.repr(args.k)}")
+    # a file given twice, by any spelling, would rank each of its rows twice
+    seen = {}
+    for path in args.results:
+        resolved = Path(path).resolve()
+        if resolved in seen:
+            raise ConfigError(f"results file {echo.repr(path)} repeats {echo.repr(seen[resolved])}")
+        seen[resolved] = path
     table = StudyReports(block for path in args.results for block in read_report_csv(path).blocks)
     if len(table) == 0:
         raise ConfigError("no rows found in the given results files")

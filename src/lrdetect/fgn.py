@@ -38,7 +38,6 @@ _MAX_UNIFORM = 1.0 - 2.0**-53
 # sqrt(2 pi) (y + y y^2 P0(y^2) / Q0(y^2)); in the tails, with
 # x = sqrt(-2 log min(u, 1 - u)) and z = 1/x, it is
 # +-(x - log(x)/x - z P(z) / Q(z)), with P1/Q1 for x < 8 and P2/Q2 beyond.
-# Each Q has a leading coefficient of 1, left out here as in Cephes.
 _EXP_M2 = 0.13533528323661269189
 _S2PI = 2.50662827463100050242e0
 _P0 = (
@@ -49,6 +48,7 @@ _P0 = (
     -1.23916583867381258016e0,
 )
 _Q0 = (
+    1.0,
     1.95448858338141759834e0,
     4.67627912898881538453e0,
     8.63602421390890590575e1,
@@ -70,6 +70,7 @@ _P1 = (
     -8.57456785154685413611e-4,
 )
 _Q1 = (
+    1.0,
     1.57799883256466749731e1,
     4.53907635128879210584e1,
     4.13172038254672030440e1,
@@ -91,6 +92,7 @@ _P2 = (
     6.23974539184983293730e-9,
 )
 _Q2 = (
+    1.0,
     6.02427039364742014255e0,
     3.67983563856160859403e0,
     1.37702099489081330271e0,
@@ -147,20 +149,14 @@ def _even_binomial_tail(a: float, u2: np.ndarray) -> np.ndarray:
     return total
 
 
-def fgn_autocovariance(params: FgnParams, k: int) -> float:
-    """Covariance at integer lag k: (sigma2/2) * (|k+1|^2H + |k-1|^2H - 2|k|^2H).
+def _autocovariance_vector(params: FgnParams, lags) -> np.ndarray:
+    """The covariance (sigma2/2) * (|k+1|^2H + |k-1|^2H - 2|k|^2H) at each of the
+    nonnegative integer ``lags`` k, in one vectorized pass.
 
     For lags beyond a small cutoff the direct second difference cancels
     catastrophically, so it is evaluated through the equivalent even-power
     binomial series in 1/k, accurate to a few ulp at every lag.
     """
-    if k < 0:
-        raise ValueError("lag must be nonnegative")
-    return float(_autocovariance_vector(params, [k])[0])
-
-
-def _autocovariance_vector(params: FgnParams, lags) -> np.ndarray:
-    """fgn_autocovariance at each of the nonnegative integer ``lags`` in one vectorized pass."""
     a = 2.0 * params.hurst
     lags = np.asarray(lags, dtype=np.float64)
     near = lags < _SERIES_LAG
@@ -234,24 +230,15 @@ def _polevl(x: np.ndarray, coef, out=None) -> np.ndarray:
     return out
 
 
-def _p1evl(x: np.ndarray, coef, out=None) -> np.ndarray:
-    """x^N + coef[0] x^(N-1) + ... + coef[N-1]: ``_polevl`` with a leading 1."""
-    out = np.add(x, coef[0], out=out)
-    for c in coef[1:]:
-        out *= x
-        out += c
-    return out
-
-
 def _ndtri_tail(u: np.ndarray) -> np.ndarray:
     """Cephes ndtri of uniforms outside (exp(-2), 1 - exp(-2)]."""
     x = np.sqrt(-2.0 * np.log(np.minimum(u, 1.0 - u)))  # 1 - u is exact above 1/2
     z = 1.0 / x
-    x1 = z * _polevl(z, _P1) / _p1evl(z, _Q1)
+    x1 = z * _polevl(z, _P1) / _polevl(z, _Q1)
     far = np.flatnonzero(x >= 8.0)  # u < exp(-32)
     if far.size:
         zf = z[far]
-        x1[far] = zf * _polevl(zf, _P2) / _p1evl(zf, _Q2)
+        x1[far] = zf * _polevl(zf, _P2) / _polevl(zf, _Q2)
     x0 = x - np.log(x) / x
     return np.copysign(x0 - x1, u - 0.5)
 
@@ -276,7 +263,7 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
         np.multiply(y, y, out=y2)
         _polevl(y2, _P0, num)
         num *= y2
-        num /= _p1evl(y2, _Q0, den)
+        num /= _polevl(y2, _Q0, den)
         num *= y
         num += y
         np.multiply(num, _S2PI, out=block)

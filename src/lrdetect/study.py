@@ -10,10 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
-import math
 import numbers
-import operator
 import os
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
@@ -63,6 +60,7 @@ CSV_COLUMNS = (
 # One row of CSV_COLUMNS: the counts written as they are, then the derived
 # metrics to six decimals ("nan" when undefined), as csv.writer wrote them.
 _CSV_ROW = "%s,%d,%d,%d,%d,%d,%d,%d,%.6f,%.6f,%.6f\r\n"
+_CSV_SLICE = 1024  # rows a metrics CSV formats at a time, so few of their Python values live at once
 # Where a cell's [non-LRD, LRD, skip] label counts add in a task's count rows
 # (tp, fp, tn, fn, skips), by the truth of its Hurst value: a non-LRD series
 # labelled non-LRD is a tn and labelled LRD an fp; an LRD one, fn and tp.
@@ -343,8 +341,8 @@ def _metrics(tp: np.ndarray, fp: np.ndarray, tn: np.ndarray, fn: np.ndarray) -> 
 
 class StudyReports:
     """The reports of one study, or of read metrics CSVs, as count columns,
-    iterated as ``MetricsReport`` objects that are built only when they are
-    read, with the metrics of each block from one ``_metrics`` call.
+    read row by row through one column view, ``columns``; iterated, the table
+    yields a ``MetricsReport`` per row, built only when it is read.
 
     ``blocks`` holds (estimator, series length, counts) triples.  A study has
     one per length and estimator, in report order: length by length as
@@ -363,10 +361,18 @@ class StudyReports:
     def __len__(self) -> int:
         return sum(counts.shape[1] for _, _, counts in self.blocks)
 
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """Every row in table order as the columns of ``MetricsReport``: estimator,
+        n1, n2, series length, the five counts, then the three metrics from one
+        ``_metrics`` call; the one place count blocks become rows."""
+        sizes = [counts.shape[1] for _, _, counts in self.blocks]
+        counts = np.hstack([counts for _, _, counts in self.blocks] or [np.zeros((7, 0), dtype=np.int64)])
+        estimators = np.repeat(np.array([e for e, _, _ in self.blocks], dtype=str), sizes)
+        lengths = np.repeat(np.array([n for _, n, _ in self.blocks], dtype=np.int64), sizes)
+        return (estimators, counts[0], counts[1], lengths, *counts[2:], *_metrics(*counts[2:6]))
+
     def __iter__(self):
-        for estimator, n, counts in self.blocks:
-            for n1, n2, *values in zip(*counts.tolist(), *(m.tolist() for m in _metrics(*counts[2:6]))):
-                yield MetricsReport(estimator, n1, n2, n, *values)
+        return map(MetricsReport, *(column.tolist() for column in self.columns()))
 
     def __eq__(self, other):
         if not isinstance(other, StudyReports):
@@ -474,47 +480,41 @@ def run_study(cfg: StudyConfig) -> StudyReports:
 
 
 def rank_cutoffs(reports: StudyReports, k: int) -> list[MetricsReport]:
-    """Top-k reports of a table by accuracy.
+    """Top-k reports of a table by accuracy, built only for the k rows returned.
 
-    Ties break deterministically by higher sensitivity, then narrower window,
-    then smaller lower cutoff, then estimator name and length; reports equal
-    on all of these keep their table order.
+    Ties break by higher sensitivity (a nan metric ranks as -1), then narrower
+    window, then smaller lower cutoff, then estimator name and length; reports
+    equal on all of these keep their table order (the one sort is stable).
     """
     if not reports:
         raise ValueError("no reports to rank")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {echo.repr(k)}")
-
-    def key(r: MetricsReport):
-        accuracy = -1.0 if math.isnan(r.accuracy) else r.accuracy
-        sensitivity = -1.0 if math.isnan(r.sensitivity) else r.sensitivity
-        return (-accuracy, -sensitivity, r.n2 - r.n1, r.n1, r.estimator, r.series_length)
-
-    return sorted(reports, key=key)[:k]
+    columns = reports.columns()
+    estimators, n1, n2, lengths, *_, accuracy, sensitivity, _ = columns
+    # one stable sort, by its last key first; numpy sorts nan last, where -(-1) would go
+    top = np.lexsort((lengths, estimators, n1, n2 - n1, -sensitivity, -accuracy))[:k]
+    return list(map(MetricsReport, *(column[top].tolist() for column in columns)))
 
 
 def write_study_outputs(cfg: StudyConfig, reports: StudyReports, out_dir) -> list[Path]:
     """One metrics CSV per series length plus a JSON manifest of the config as run.
 
-    Every CSV is formatted straight from the count columns of ``reports``, the
-    table ``run_study`` returns, its rows sorted by (estimator, n1, n2) and its
-    metrics from ``_metrics``.  The manifest holds every field of ``cfg`` as
-    given (a window grid left to the default rule is null), with the Hurst grid
-    and the level seed resolved, so ``study --config`` on it runs the same
-    study again and rewrites every file byte for byte.
+    A length's CSV is formatted from the column view of its blocks of
+    ``reports``, the table ``run_study`` returns, its rows sorted by
+    (estimator, n1, n2) in one ``np.lexsort``.  The manifest holds every field
+    of ``cfg`` as given (a window grid left to the default rule is null), with
+    the Hurst grid and the level seed resolved, so ``study --config`` on it
+    runs the same study again and rewrites every file byte for byte.
     """
     out_dir = Path(out_dir)
     written = []
-    blocks = sorted(reports.blocks, key=operator.itemgetter(0))  # by estimator name
     for n in cfg.lengths:
-        rows = [",".join(CSV_COLUMNS) + "\r\n"]
-        for estimator, length, counts in blocks:
-            if length != n:
-                continue
-            counts = counts[:, np.lexsort((counts[1], counts[0]))]
-            columns = [column.tolist() for column in (*counts, *_metrics(*counts[2:6]))]
-            rows += [_CSV_ROW % row for row in zip(itertools.repeat(estimator), *columns)]
-        written.append(_write_text(out_dir / f"results_{cfg.scenario}_n{n}.csv", rows))
+        estimators, n1, n2, _, *values = StudyReports(b for b in reports.blocks if b[1] == n).columns()
+        order, text = np.lexsort((n2, n1, estimators)), [",".join(CSV_COLUMNS) + "\r\n"]
+        for rows in np.split(order, range(_CSV_SLICE, order.size, _CSV_SLICE)):
+            text += [_CSV_ROW % row for row in zip(*(c[rows].tolist() for c in (estimators, n1, n2, *values)))]
+        written.append(_write_text(out_dir / f"results_{cfg.scenario}_n{n}.csv", text))
     manifest = {
         **vars(cfg),
         "hurst_grid": [float(h) for h in cfg.resolved_hurst_grid()],

@@ -139,6 +139,15 @@ def metrics(tp: int, fp: int, tn: int, fn: int) -> tuple[float, float, float]:
     return tuple(num / den if den else math.nan for num, den in pairs)
 
 
+def rank_key(r):
+    """A report's ranking key, as a Python tuple: higher accuracy, then higher
+    sensitivity (nan as -1 in both), narrower window, smaller n1, estimator name
+    and length; ``sorted`` on it keeps reports equal on every key in table order."""
+    accuracy = -1.0 if math.isnan(r.accuracy) else r.accuracy
+    sensitivity = -1.0 if math.isnan(r.sensitivity) else r.sensitivity
+    return (-accuracy, -sensitivity, r.n2 - r.n1, r.n1, r.estimator, r.series_length)
+
+
 def report_csv_text(reports, n: int) -> str:
     """The metrics CSV text of length n, written row by row from report objects:
     the reports of that length sorted by (estimator, n1, n2), each formatted

@@ -17,7 +17,6 @@ from lrdetect import (
     block_mean_variances,
     classify_lrd_gph,
     classify_lrd_variance,
-    fgn_autocovariance,
     fit_series,
     full_ordinates,
     gph_estimate,
@@ -31,6 +30,7 @@ from lrdetect import (
     write_study_outputs,
 )
 from oracles import (
+    autocovariance_vector,
     brute_force_dft_periodogram,
     exact_mean_variance,
     naive_block_variances,
@@ -124,7 +124,7 @@ def test_criterion_4_simulator_exact_law():
     worst = 0.0
     for h_index, hurst in enumerate((0.3, 0.5, 0.7, 0.9)):
         p = FgnParams(hurst=hurst, n=n)
-        want = exact_mean_variance(lambda k: fgn_autocovariance(p, k), n)
+        want = exact_mean_variance(autocovariance_vector(p, np.arange(n)).__getitem__, n)
         assert abs(want - n ** (2 * hurst - 2)) <= 1e-10 * want
         means = np.array(
             [

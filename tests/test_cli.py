@@ -517,6 +517,21 @@ def test_rank_checks_k_before_opening_a_file(tmp_path, capsys):
     assert capsys.readouterr().err == "error: -k must be >= 1, got 0\n"
 
 
+def test_rank_refuses_a_results_file_given_twice(tmp_path, capsys, monkeypatch):
+    # two spellings of one file would rank each of its rows twice; the rule holds before any file is read
+    monkeypatch.chdir(tmp_path)
+    Path("results_fgn_n60.csv").write_text(_REPORT_HEADER + "gph,1,5,1,0,0,0,0,1,1,nan\n")
+    for argv, name in [
+        (["results_fgn_n60.csv", "./results_fgn_n60.csv"], "'./results_fgn_n60.csv' repeats 'results_fgn_n60.csv'"),
+        (["missing_n60.csv", "results_fgn_n60.csv", "missing_n60.csv"], "'missing_n60.csv' repeats 'missing_n60.csv'"),
+    ]:
+        assert main(["rank", *argv, "-k", "4"]) == 1
+        assert capsys.readouterr() == ("", f"error: results file {name}\n")
+    long = "x" * 100 + "_n60.csv"
+    assert main(["rank", long, long]) == 1
+    assert len(capsys.readouterr().err) < 100  # both names cut short
+
+
 _HUGE = "9" * 4000
 _STUDY = ["study", "--seed", "1", "--replications", "1", "--workers", "1", "--out-dir", "out"]
 

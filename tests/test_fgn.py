@@ -11,7 +11,6 @@ from lrdetect import (
     OverflowValue,
     SubordinationParams,
     TimeSeries,
-    fgn_autocovariance,
     replication_seed,
     simulate_fgn,
     subordinate,
@@ -33,13 +32,11 @@ import oracles
 
 def test_autocovariance_white_noise():
     p = FgnParams(hurst=0.5, n=10)
-    assert fgn_autocovariance(p, 0) == 1.0
-    assert fgn_autocovariance(p, 1) == 0.0
-    assert fgn_autocovariance(p, 1000) == 0.0
+    assert _autocovariance_vector(p, [0, 1, 1000]).tolist() == [1.0, 0.0, 0.0]
 
 
 def test_autocovariance_persistent_lag_one():
-    got = fgn_autocovariance(FgnParams(hurst=0.75, n=10), 1)
+    got = _autocovariance_vector(FgnParams(hurst=0.75, n=10), [1])[0]
     assert abs(got - 0.5 * (2**1.5 - 2.0)) < 1e-15
 
 
@@ -49,12 +46,12 @@ def test_autocovariance_matches_tail_asymptotics():
         p = FgnParams(hurst=hurst, n=10)
         k = 100_000
         want = hurst * (2 * hurst - 1) * k ** (2 * hurst - 2)
-        assert abs(fgn_autocovariance(p, k) - want) < 1e-4 * abs(want)
+        assert abs(_autocovariance_vector(p, [k])[0] - want) < 1e-4 * abs(want)
 
 
 def test_autocovariance_scales_with_sigma2():
-    a = fgn_autocovariance(FgnParams(hurst=0.7, n=4, sigma2=1.0), 3)
-    b = fgn_autocovariance(FgnParams(hurst=0.7, n=4, sigma2=2.5), 3)
+    a = _autocovariance_vector(FgnParams(hurst=0.7, n=4, sigma2=1.0), [3])[0]
+    b = _autocovariance_vector(FgnParams(hurst=0.7, n=4, sigma2=2.5), [3])[0]
     assert abs(b - 2.5 * a) < 1e-15
 
 
@@ -147,7 +144,7 @@ def test_block_mean_variance_matches_exact_law():
     means = np.array(
         [simulate_fgn(p, replication_seed(321, "fgn", 0, r)).values.mean() for r in range(reps)]
     )
-    want = oracles.exact_mean_variance(lambda k: fgn_autocovariance(p, k), n)
+    want = oracles.exact_mean_variance(oracles.autocovariance_vector(p, np.arange(n)).__getitem__, n)
     assert abs(want - n ** (2 * hurst - 2)) < 1e-12 * want
     got = means.var(ddof=1)
     se = want * math.sqrt(2.0 / (reps - 1))
@@ -159,9 +156,10 @@ def test_sample_autocovariance_matches_theory():
     s = simulate_fgn(p, 31337)
     v = s.values - s.values.mean()
     batches = 50
+    gamma = oracles.autocovariance_vector(p, np.arange(21))
     for lag in range(21):
         prods = v[: v.size - lag] * v[lag:]
-        want = fgn_autocovariance(p, lag)
+        want = gamma[lag]
         got = prods.mean()
         per_batch = prods[: (prods.size // batches) * batches].reshape(batches, -1).mean(axis=1)
         se = per_batch.std(ddof=1) / math.sqrt(batches)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -407,6 +408,45 @@ def test_rank_cutoffs_orders_and_saturates():
         rank_cutoffs(StudyReports([]), 5)
 
 
+def _nan_aware(reports):
+    """Each report's fields, with nan spelled "nan": a record holding nan is not equal to itself."""
+    return [tuple("nan" if value != value else value for value in dataclasses.astuple(r)) for r in reports]
+
+
+def test_rank_cutoffs_matches_the_reference_key_on_a_tie_heavy_table():
+    # a few count rows, several of them at 75% accuracy and sensitivity, one with nan accuracy and
+    # sensitivity and one with nan sensitivity; both estimators at two lengths over windows of equal
+    # width, and (variance, 50) and (gph, 80) in two blocks each, so that rows tie on every key
+    counts = [(6, 2, 6, 2), (3, 1, 3, 1), (0, 0, 0, 0), (0, 3, 13, 0), (12, 4, 12, 4), (0, 0, 5, 5)]
+    windows = [(1, 5), (2, 6), (3, 7), (1, 3), (2, 4), (4, 6)]
+    keys = [("variance", 50), ("gph", 50), ("variance", 80), ("gph", 80), ("variance", 50), ("gph", 80)]
+    blocks, skips = [], iter(range(len(keys) * len(windows)))  # distinct skips tell tied rows apart
+    for b, (estimator, n) in enumerate(keys):
+        rows = [(*window, *counts[(b + j) % len(counts)], next(skips)) for j, window in enumerate(windows)]
+        blocks.append(_block(estimator, n, *rows))
+    table = StudyReports(blocks)
+    rows = list(table)
+    tied = [oracles.rank_key(r) for r in rows]
+    assert len(set(tied)) < len(tied) and any(math.isnan(r.accuracy) for r in rows)
+    want = sorted(rows, key=oracles.rank_key)
+    for k in range(1, len(table) + 1):
+        assert _nan_aware(rank_cutoffs(table, k)) == _nan_aware(want[:k]), k
+
+
+def test_column_view_of_an_empty_and_a_read_table(tmp_path):
+    empty = StudyReports([]).columns()
+    assert len(empty) == len(dataclasses.fields(MetricsReport)) and all(c.shape == (0,) for c in empty)
+    assert list(StudyReports([])) == []
+    # a read CSV of gph rows only: its variance block is empty
+    path = tmp_path / "results_fgn_n60.csv"
+    path.write_text(",".join(study.CSV_COLUMNS) + "\ngph,3,9,1,0,0,0,2,1,1,nan\ngph,1,5,6,2,6,2,0,0.75,0.75,0.75\n")
+    columns = [column.tolist() for column in read_report_csv(path).columns()]
+    assert columns[:11] == [
+        ["gph", "gph"], [3, 1], [9, 5], [60, 60], [1, 6], [0, 2], [0, 6], [0, 2], [2, 0], [1.0, 0.75], [1.0, 0.75]
+    ]
+    assert math.isnan(columns[11][0]) and columns[11][1] == 0.75
+
+
 def test_api_range_errors_echo_a_long_integer_cut_short():
     huge = 10**4000
     table = StudyReports([_block("gph", 200, (1, 30, 50, 50, 50, 50, 0))])
@@ -508,8 +548,12 @@ def test_study_builds_no_report_objects(tmp_path, monkeypatch):
     monkeypatch.setattr(study, "MetricsReport", CountingReport)
     cfg = StudyConfig("fgn", (50, 100), 1, 4)
     reports = run_study(cfg)
-    write_study_outputs(cfg, reports, tmp_path)
+    csvs = write_study_outputs(cfg, reports, tmp_path)[:-1]
     assert built == []
+    # rank builds a record only for each row it prints
+    assert main(["rank", *map(str, csvs), "-k", "5"]) == 0
+    assert len(built) == 5 < len(reports)
+    built.clear()
     assert len(list(reports)) == len(built) == len(reports)
 
 

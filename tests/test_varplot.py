@@ -18,14 +18,13 @@ from lrdetect import (
     admissible_delta_bound,
     block_mean_variances,
     classify_lrd_variance,
-    fgn_autocovariance,
     ols_slope,
     replication_seed,
     simulate_fgn,
     variance_plot_slope,
 )
 from lrdetect.excursion import draw_levels, excursion_rows
-from oracles import exact_mean_variance, naive_block_variances
+from oracles import autocovariance_vector, exact_mean_variance, naive_block_variances
 
 
 def fit_with_slope(slope):
@@ -201,8 +200,9 @@ def test_expected_block_variance_matches_oracle(hurst, tag):
         curves[r] = block_mean_variances(s, 1, 10)
     mean_curve = curves.mean(axis=0)
     se = curves.std(axis=0, ddof=1) / math.sqrt(reps)
+    gamma = autocovariance_vector(p, np.arange(10)).__getitem__
     for i, length in enumerate(range(1, 11)):
-        want = exact_mean_variance(lambda k: fgn_autocovariance(p, k), length)
+        want = exact_mean_variance(gamma, length)
         allowance = 5 * se[i] + 30.0 * (length / n) * want
         assert abs(mean_curve[i] - want) <= allowance, f"l={length}"
 
