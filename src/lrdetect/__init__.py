@@ -9,7 +9,6 @@ infinite-variance series, and a Monte Carlo benchmark harness.
 from .errors import (
     ConfigError,
     DegenerateBlockVariance,
-    DegenerateDesign,
     EmbeddingFailure,
     LrdetectError,
     OutOfRangeTheta,
@@ -41,7 +40,6 @@ from .gph import (
 from .series import (
     RegressionFit,
     TimeSeries,
-    ols_slope,
     read_series_csv,
     write_series_csv,
 )

@@ -13,10 +13,6 @@ class LrdetectError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DegenerateDesign(LrdetectError):
-    """Regression design has no usable variation (all abscissae equal, or fewer than two points)."""
-
-
 class EmbeddingFailure(LrdetectError):
     """Circulant embedding produced a significantly negative eigenvalue."""
 

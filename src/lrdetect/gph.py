@@ -1,5 +1,5 @@
 """Spectral-domain log-periodogram (GPH) regression at Fourier frequencies: a series'
-periodogram is one array of ordinates, whose windows ``ols_slope`` fits in logs."""
+periodogram is one array of ordinates, whose windows the kernel ``WindowGrid`` fits in logs."""
 
 from __future__ import annotations
 

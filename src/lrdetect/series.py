@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateDesign, OverflowValue, echo
+from .errors import OverflowValue, echo
 
 # Rows per write of the series CSV writer.  The reader converts slices of
 # _CSV_SLICE characters, cut at the next line end: about _CSV_CHUNK lines of
@@ -25,16 +25,6 @@ _CSV_SLICE = 20 * _CSV_CHUNK
 _CHUNK = 1 << 16
 
 
-def _as_finite_array(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError("series values must be one-dimensional")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("series values must be finite (no NaN or infinity)")
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class TimeSeries:
     """A finite real-valued sample path, immutable after construction."""
@@ -42,9 +32,14 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        values = _as_finite_array(self.values)
+        values = np.array(self.values, dtype=np.float64)
+        if values.ndim != 1:
+            raise ValueError("series values must be one-dimensional")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("series values must be finite (no NaN or infinity)")
         if values.size < 1:
             raise ValueError("series must contain at least one value")
+        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
     @property
@@ -59,25 +54,10 @@ class RegressionFit:
     slope: float
 
 
-def ols_slope(xs, ys) -> RegressionFit:
-    """Least-squares slope of ys on xs, the estimators' fit: a one-window ``WindowGrid``.
-
-    Both coordinates must be one-dimensional and finite (ValueError), equally
-    long with at least 2 points, and not all abscissae equal (DegenerateDesign).
-    ``ols_slope`` in ``tests/oracles.py`` is the compensated-sum reference for this kernel.
-    """
-    x, y = _as_finite_array(xs), _as_finite_array(ys)
-    if x.size != y.size or x.size < 2:
-        raise DegenerateDesign("design needs >= 2 paired points")
-    if np.all(x == x[0]):
-        raise DegenerateDesign("all abscissae coincide")
-    [(_, slopes)] = WindowGrid(x, [(0, x.size - 1)]).slope_blocks(y[None, :])
-    return RegressionFit(float(slopes[0, 0]))
-
-
 def _log_curve_slope(xs, curve, first: int, noun: str, zero_error: type[Exception]) -> RegressionFit:
-    """``ols_slope`` of log(curve) on xs, once every entry of the window's curve
-    has a finite log: the one rule for which windows are unusable.
+    """Slope of log(curve) on xs through a one-window ``WindowGrid``, once every
+    entry of the window's curve has a finite log: the one rule for which
+    windows are unusable.
 
     ``curve``'s entries sit at positions first, first + 1, ...; ``noun`` names
     an entry and its positions ("ordinate at frequency indices").  A non-finite
@@ -96,12 +76,14 @@ def _log_curve_slope(xs, curve, first: int, noun: str, zero_error: type[Exceptio
         if hits.size:
             cut = f" ({hits.size} in all)" if hits.size > echo.maxlist else ""
             raise error(f"{what} {noun} {echo.repr(hits.tolist())}{cut}")
-    return ols_slope(xs, np.log(curve))
+    [(_, slopes)] = WindowGrid(xs, [(0, curve.size - 1)]).slope_blocks(np.log(curve)[None, :])
+    return RegressionFit(float(slopes[0, 0]))
 
 
 class WindowGrid:
     """Least-squares slopes of many rows over many windows of one regressor: the
-    one regression kernel, which the study and ``ols_slope`` both fit with.
+    one regression kernel: the study fits its grids with it, and
+    ``_log_curve_slope`` one window of one series.
 
     ``windows`` holds inclusive (start, stop) positions into ``xs``, at least
     two each.  All window endpoints cut the regressor into segments; each row

@@ -537,8 +537,9 @@ def read_report_csv(path) -> StudyReports:
     A line the csv module rejects, a missing column, a row of the wrong width,
     an estimator the study does not run, a window other than 1 <= n1 < n2, a
     count that is not a non-negative integer, an n2 or a sum of counts above
-    2**53 (beyond which float64 metrics lose exactness), or a byte that is not
-    UTF-8 (``_read_text``) is a ValueError naming the file and the line.
+    2**53 (beyond which float64 metrics lose exactness), a window its
+    estimator's rule rejects at the length (as in ``StudyConfig``), or a byte
+    that is not UTF-8 (``_read_text``) is a ValueError naming the file and the line.
     """
     path = Path(path)
     _, marker, tail = path.stem.rpartition("_n")
@@ -576,6 +577,10 @@ def read_report_csv(path) -> StudyReports:
                 raise ValueError(
                     f"{line}: n2 and the sum of the counts must be at most 2**53, got {_echo_row(values)}"
                 )
+            try:
+                (VariancePlotConfig if estimator == "variance" else GphConfig)(n1, n2).resolve(length)
+            except WindowExceedsSeries as exc:
+                raise ValueError(f"{line}: {exc}") from None
             blocks[estimator].append((n1, n2, *counts))
     except csv.Error as exc:
         raise ValueError(f"{path}: line {rows.line_num}: {exc}") from None

@@ -1,5 +1,5 @@
 """Time-domain variance-plot estimator with the consistency-guaranteeing window rule:
-a series' curve is one array of block-mean variances, fitted in logs by ``ols_slope``."""
+a series' curve is one array of block-mean variances, fitted in logs by ``WindowGrid``."""
 
 from __future__ import annotations
 
@@ -87,13 +87,13 @@ _DOT_PIECE = 8192
 
 
 def _row_squares(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Each row's sum of squares into ``out`` of shape (rows, 1, 1): stacked row
-    dot products, each bit-identical to one ddot per piece of the row."""
+    """Each row's sum of squares into ``out`` of shape (rows,): one ddot per
+    piece of the row, summed in order."""
     head = rows[:, :_DOT_PIECE]
-    np.matmul(head[:, None, :], head[:, :, None], out=out)
+    np.vecdot(head, head, out=out)
     for start in range(_DOT_PIECE, rows.shape[1], _DOT_PIECE):
         piece = rows[:, start : start + _DOT_PIECE]
-        out += piece[:, None, :] @ piece[:, :, None]
+        out += np.vecdot(piece, piece)
     return out
 
 
@@ -129,7 +129,7 @@ def block_variance_rows(values: np.ndarray, n1: int, n2: int) -> np.ndarray:
     lengths = np.arange(n1, n2 + 1)
     counts = n + 1 - lengths
     sums = np.empty((lengths.size, rows))
-    squares = np.empty((lengths.size, rows, 1, 1))
+    squares = np.empty((lengths.size, rows))
     # Row r's block sums of length l land at the start of buffer[r]: one flat
     # difference over all rows, whose last l values per row straddle two rows.
     buffer = np.empty((rows, n + 1))
@@ -139,7 +139,7 @@ def block_variance_rows(values: np.ndarray, n1: int, n2: int) -> np.ndarray:
         blocks = buffer[:, :count]
         np.add.reduce(blocks, axis=1, out=sums[i])
         _row_squares(blocks, out=squares[i])
-    sums, squares = sums.T, squares[:, :, 0, 0].T
+    sums, squares = sums.T, squares.T
     spread = squares - sums**2 / counts
     out = spread / (counts * lengths**2.0)
     redo = spread * 2.0**16 <= squares
@@ -147,7 +147,7 @@ def block_variance_rows(values: np.ndarray, n1: int, n2: int) -> np.ndarray:
         length, count, flagged = n1 + i, counts[i], np.flatnonzero(redo[:, i])
         means = (prefix[flagged, length:] - prefix[flagged, :-length]) / length
         deviations = means - np.add.reduce(means, axis=1, keepdims=True) / count
-        out[flagged, i] = _row_squares(deviations, np.empty((flagged.size, 1, 1)))[:, 0, 0] / count
+        out[flagged, i] = _row_squares(deviations, np.empty(flagged.size)) / count
     return out
 
 

@@ -10,6 +10,7 @@ from lrdetect import (
     FgnParams,
     GphConfig,
     QuantileMeasure,
+    RegressionFit,
     StudyConfig,
     SubordinationParams,
     TimeSeries,
@@ -21,7 +22,6 @@ from lrdetect import (
     full_ordinates,
     gph_estimate,
     gph_from_ordinates,
-    ols_slope,
     replication_seed,
     run_study,
     simulate_fgn,
@@ -29,6 +29,7 @@ from lrdetect import (
     variance_plot_slope,
     write_study_outputs,
 )
+from lrdetect.series import WindowGrid
 from oracles import (
     autocovariance_vector,
     brute_force_dft_periodogram,
@@ -49,6 +50,12 @@ def _by_cutoff(reports, estimator, pair):
         if r.estimator == estimator and (r.n1, r.n2) == pair:
             return r
     raise LookupError((estimator, pair))
+
+
+def _one_window_fit(xs, ys):
+    """The kernel's fit of ys on xs over one window holding every point."""
+    [(_, slopes)] = WindowGrid(xs, [(0, len(xs) - 1)]).slope_blocks([ys])
+    return RegressionFit(float(slopes[0, 0]))
 
 
 @pytest.fixture(scope="module")
@@ -179,14 +186,14 @@ def test_criterion_6_oracle_equivalences():
         rhs = math.fsum(v * v) / n
         assert abs(lhs - rhs) <= 1e-10 * rhs, f"parseval at n={n}"
     lengths = np.arange(1, 51)
-    injected = ols_slope(np.log(lengths), np.log(2.0 * lengths**-0.6))
+    injected = _one_window_fit(np.log(lengths), np.log(2.0 * lengths**-0.6))
     assert abs(injected.slope - (-0.6)) <= 1e-10
     indices = np.arange(1, 300)
     b = -2.0 * np.log(2 * np.pi * indices / 300)
     log_linear = np.concatenate([[1.0], np.exp(-0.4 + 0.3 * b)])
     fit = gph_from_ordinates(log_linear, 300, GphConfig(trim=1, bandwidth=120))
     assert abs(fit.slope - 0.3) <= 1e-10
-    exact_line = ols_slope([1.0, 2.0, 3.0], [5.0, 3.0, 1.0])
+    exact_line = _one_window_fit([1.0, 2.0, 3.0], [5.0, 3.0, 1.0])
     assert exact_line.slope == -2.0
     _report(6, True, "fft/brute 1e-8, blocks 1e-9, parseval 1e-10, exact lines 1e-10")
 

@@ -672,32 +672,38 @@ _REPORT_HEADER = "estimator,n1,n2,tp,fp,tn,fn,skips,accuracy,sensitivity,specifi
 
 
 @pytest.mark.parametrize(
-    "text,message",
+    "length,text,message",
     [
-        (_REPORT_HEADER.replace("tp,", "") + "gph,1,5,1,2,3,0,0.5,0.5,0.5\n", "line 1: missing column(s) tp"),
-        (_REPORT_HEADER + "gph,1,5,1,2,3,4,0,0.4,0.2,0.6\ngph,1,6,1,2\n", "line 3: 5 fields, the header has 11"),
-        (_REPORT_HEADER + "gph,1,5,-1,0,0,0,0,1.0,1.0,nan\n", "line 2: counts must be non-negative"),
-        (_REPORT_HEADER + "gph,1,5,x,0,0,0,0,1.0,1.0,nan\n", "line 2: n1, n2 and the counts must be integers"),
-        (_REPORT_HEADER + "gph,1,5,1,0,0,0,0,1.0,1.0,nan\nbogus,9,2,5,0,5,0,0,1,1,1\n", "line 3: estimator must be one of variance, gph, got 'bogus'"),
-        (_REPORT_HEADER + "variance,9,2,5,0,5,0,0,1,1,1\n", "line 2: need 1 <= n1 < n2, got (9, 2)"),
-        (_REPORT_HEADER + "gph,4,4,5,0,5,0,0,1,1,1\n", "line 2: need 1 <= n1 < n2, got (4, 4)"),
-        (_REPORT_HEADER + "gph,1,5,1,0,0,0,0,1,1,nan\ngph,1,6,1,0,0,0,0,1,1," + "x" * 131073 + "\n", "line 3: field larger than field limit"),
-        (_REPORT_HEADER + f"gph,1,{2**53 + 1},1,0,0,0,0,1,1,nan\n", "line 2: n2 and the sum of the counts must be at most 2**53"),
-        (_REPORT_HEADER + f"variance,1,5,{2**53},0,0,0,1,1,1,nan\n", "line 2: n2 and the sum of the counts must be at most 2**53"),
-        (_REPORT_HEADER + f"variance,1,5,{2**64},0,0,0,0,1,1,nan\n", "line 2: n2 and the sum of the counts must be at most 2**53"),
-        (_REPORT_HEADER + "gph,1,5,1,0,0,0,0,1,1,nan\ngph,1,6,1,0,0,0,0,1,1,\udcff\n", "line 3: not UTF-8 text"),
+        (50, _REPORT_HEADER.replace("tp,", "") + "gph,1,5,1,2,3,0,0.5,0.5,0.5\n", "line 1: missing column(s) tp"),
+        (50, _REPORT_HEADER + "gph,1,5,1,2,3,4,0,0.4,0.2,0.6\ngph,1,6,1,2\n", "line 3: 5 fields, the header has 11"),
+        (50, _REPORT_HEADER + "gph,1,5,-1,0,0,0,0,1.0,1.0,nan\n", "line 2: counts must be non-negative"),
+        (50, _REPORT_HEADER + "gph,1,5,x,0,0,0,0,1.0,1.0,nan\n", "line 2: n1, n2 and the counts must be integers"),
+        (50, _REPORT_HEADER + "gph,1,5,1,0,0,0,0,1.0,1.0,nan\nbogus,9,2,5,0,5,0,0,1,1,1\n", "line 3: estimator must be one of variance, gph, got 'bogus'"),
+        (50, _REPORT_HEADER + "variance,9,2,5,0,5,0,0,1,1,1\n", "line 2: need 1 <= n1 < n2, got (9, 2)"),
+        (50, _REPORT_HEADER + "gph,4,4,5,0,5,0,0,1,1,1\n", "line 2: need 1 <= n1 < n2, got (4, 4)"),
+        (50, _REPORT_HEADER + "gph,1,5,1,0,0,0,0,1,1,nan\ngph,1,6,1,0,0,0,0,1,1," + "x" * 131073 + "\n", "line 3: field larger than field limit"),
+        (50, _REPORT_HEADER + f"gph,1,{2**53 + 1},1,0,0,0,0,1,1,nan\n", "line 2: n2 and the sum of the counts must be at most 2**53"),
+        (50, _REPORT_HEADER + f"variance,1,5,{2**53},0,0,0,1,1,1,nan\n", "line 2: n2 and the sum of the counts must be at most 2**53"),
+        (50, _REPORT_HEADER + f"variance,1,5,{2**64},0,0,0,0,1,1,nan\n", "line 2: n2 and the sum of the counts must be at most 2**53"),
+        (50, _REPORT_HEADER + "gph,1,5,1,0,0,0,0,1,1,nan\ngph,1,6,1,0,0,0,0,1,1,\udcff\n", "line 3: not UTF-8 text"),
         # "\r" alone ends a line too, as in the series CSV
-        ((_REPORT_HEADER + "gph,1,5,1,0,0,0,0,1,1,nan\ngph,1,6,1,0,0,0,0,1,1,\udcff\n").replace("\n", "\r"),
+        (50, (_REPORT_HEADER + "gph,1,5,1,0,0,0,0,1,1,nan\ngph,1,6,1,0,0,0,0,1,1,\udcff\n").replace("\n", "\r"),
          "line 3: not UTF-8 text"),
+        # each window by its estimator's own rule at the file's length, as a study checks it
+        (50, _REPORT_HEADER + "gph,1,49,1,0,0,0,0,1,1,nan\nvariance,1,60,1,0,0,0,0,1,1,nan\n",
+         "line 3: n2=60 exceeds series length 50"),
+        (50, _REPORT_HEADER + "variance,1,50,1,0,0,0,0,1,1,nan\ngph,1,50,1,0,0,0,0,1,1,nan\n",
+         "line 3: bandwidth 50 exceeds n - 1 = 49"),
+        (0, _REPORT_HEADER + "variance,1,5,1,0,0,0,0,1,1,nan\n", "line 2: n2=5 exceeds series length 0"),
     ],
     ids=[
         "missing-column", "short-row", "negative-count", "not-an-integer", "unknown-estimator", "reversed-window",
         "empty-window", "oversized-field", "n2-above-2**53", "counts-above-2**53", "count-above-2**63", "not-utf-8",
-        "not-utf-8-cr",
+        "not-utf-8-cr", "variance-window-past-length", "gph-window-past-length", "length-0",
     ],
 )
-def test_rank_names_file_and_line_of_malformed_csv(tmp_path, capsys, text, message):
-    results = tmp_path / "results_fgn_n50.csv"
+def test_rank_names_file_and_line_of_malformed_csv(tmp_path, capsys, length, text, message):
+    results = tmp_path / f"results_fgn_n{length}.csv"
     results.write_text(text, encoding="utf-8", errors="surrogateescape")  # "\udcff" is the byte 0xff
     assert main(["rank", str(results)]) == 1
     captured = capsys.readouterr()

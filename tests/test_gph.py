@@ -7,6 +7,7 @@ from lrdetect import (
     FgnParams,
     GphConfig,
     OverflowValue,
+    RegressionFit,
     TimeSeries,
     WindowExceedsSeries,
     ZeroPeriodogramOrdinate,
@@ -15,7 +16,6 @@ from lrdetect import (
     full_ordinates,
     gph_estimate,
     gph_from_ordinates,
-    ols_slope,
     replication_seed,
     simulate_fgn,
 )
@@ -23,7 +23,7 @@ from oracles import brute_force_dft_periodogram
 
 
 def fit_with_slope(slope):
-    return ols_slope([0.0, 1.0], [0.0, slope])
+    return RegressionFit(slope)
 
 
 def canonical_ordinates(x):

@@ -19,7 +19,7 @@ from lrdetect import (
 from lrdetect import series, study
 from lrdetect.fgn import simulate_fgn_paths, uniform_draws
 from lrdetect.gph import full_ordinates, gph_regressors, ordinate_rows
-from lrdetect.series import WindowGrid
+from lrdetect.series import RegressionFit, WindowGrid
 from lrdetect.varplot import block_variance_rows
 
 import oracles
@@ -32,6 +32,13 @@ def _slopes(grid, ys):
     for cols, slopes in grid.slope_blocks(ys):
         out[:, cols] = slopes
     return out
+
+
+def _one_window_fit(xs, ys):
+    """The kernel's fit of ys on xs over one window holding every point, as
+    ``_log_curve_slope`` fits an estimator's window."""
+    [(_, slopes)] = WindowGrid(xs, [(0, len(xs) - 1)]).slope_blocks([ys])
+    return RegressionFit(float(slopes[0, 0]))
 
 
 def _max_relative_error(xs, ys, windows):
@@ -59,6 +66,45 @@ def _gph_window_sets(n):
         ]
     low = [(l, l + width) for l in range(1, 60, 7) for width in range(1, 21)]
     return {"top": top, "default": default, "low": low}
+
+
+def test_one_window_exact_line():
+    fit = _one_window_fit([1.0, 2.0, 3.0], [-1.0, -2.0, -3.0])
+    assert fit.slope == -1.0
+
+
+def test_one_window_constant_response():
+    fit = _one_window_fit([0.0, 1.0], [5.0, 5.0])
+    assert fit.slope == 0.0
+
+
+def test_one_window_hand_computed_slope():
+    # xbar=1, ybar=2/3: sxy = (-1)(-2/3) + 0 + (1)(1/3) = 1, sxx = 2
+    fit = _one_window_fit([0.0, 1.0, 2.0], [0.0, 1.0, 1.0])
+    assert abs(fit.slope - 0.5) < 1e-15
+
+
+def test_one_window_affine_response_equivariance():
+    rng = np.random.default_rng(7)
+    for trial in range(20):
+        xs = rng.standard_normal(40)
+        ys = rng.standard_normal(40)
+        a, b = rng.uniform(-5, 5, size=2)
+        if abs(a) < 1e-3:
+            a = 1.5
+        base = _one_window_fit(xs, ys)
+        scaled = _one_window_fit(xs, a * ys + b)
+        assert abs(scaled.slope - a * base.slope) <= 1e-12 * max(1.0, abs(a * base.slope))
+
+
+def test_one_window_permutation_invariance():
+    rng = np.random.default_rng(8)
+    xs = rng.standard_normal(60)
+    ys = rng.standard_normal(60)
+    perm = rng.permutation(60)
+    base = _one_window_fit(xs, ys)
+    shuffled = _one_window_fit(xs[perm], ys[perm])
+    assert abs(base.slope - shuffled.slope) <= 1e-12 * max(1.0, abs(base.slope))
 
 
 @pytest.mark.parametrize("n", [500, 10_000, 200_000])

@@ -1,75 +1,13 @@
-import math
-
 import numpy as np
 import pytest
 
 from lrdetect import (
-    DegenerateDesign,
     TimeSeries,
-    ols_slope,
     read_series_csv,
     write_series_csv,
 )
 from oracles import csv_reader_series
 from lrdetect.series import _CSV_CHUNK, _CSV_SLICE
-
-
-def test_ols_exact_line():
-    fit = ols_slope([1.0, 2.0, 3.0], [-1.0, -2.0, -3.0])
-    assert fit.slope == -1.0
-
-
-def test_ols_constant_response():
-    fit = ols_slope([0.0, 1.0], [5.0, 5.0])
-    assert fit.slope == 0.0
-
-
-def test_ols_hand_computed_slope():
-    # xbar=1, ybar=2/3: sxy = (-1)(-2/3) + 0 + (1)(1/3) = 1, sxx = 2
-    fit = ols_slope([0.0, 1.0, 2.0], [0.0, 1.0, 1.0])
-    assert abs(fit.slope - 0.5) < 1e-15
-
-
-def test_ols_degenerate_designs():
-    with pytest.raises(DegenerateDesign):
-        ols_slope([1.0], [1.0])
-    with pytest.raises(DegenerateDesign):
-        ols_slope([2.0, 2.0, 2.0], [0.0, 1.0, 2.0])
-    with pytest.raises(DegenerateDesign):
-        ols_slope([1.0, 2.0], [1.0, 2.0, 3.0])
-    with pytest.raises(DegenerateDesign):
-        ols_slope([], [])
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_ols_rejects_non_finite_design(bad):
-    with pytest.raises(ValueError):
-        ols_slope([0.0, 1.0, bad], [0.0, 1.0, 2.0])
-    with pytest.raises(ValueError):
-        ols_slope([0.0, 1.0, 2.0], [0.0, bad, 2.0])
-
-
-def test_ols_affine_response_equivariance():
-    rng = np.random.default_rng(7)
-    for trial in range(20):
-        xs = rng.standard_normal(40)
-        ys = rng.standard_normal(40)
-        a, b = rng.uniform(-5, 5, size=2)
-        if abs(a) < 1e-3:
-            a = 1.5
-        base = ols_slope(xs, ys)
-        scaled = ols_slope(xs, a * ys + b)
-        assert abs(scaled.slope - a * base.slope) <= 1e-12 * max(1.0, abs(a * base.slope))
-
-
-def test_ols_permutation_invariance():
-    rng = np.random.default_rng(8)
-    xs = rng.standard_normal(60)
-    ys = rng.standard_normal(60)
-    perm = rng.permutation(60)
-    base = ols_slope(xs, ys)
-    shuffled = ols_slope(xs[perm], ys[perm])
-    assert abs(base.slope - shuffled.slope) <= 1e-12 * max(1.0, abs(base.slope))
 
 
 def test_timeseries_rejects_bad_values():

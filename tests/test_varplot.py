@@ -12,24 +12,30 @@ from lrdetect import (
     FgnParams,
     OutOfRangeTheta,
     OverflowValue,
+    RegressionFit,
     TimeSeries,
     VariancePlotConfig,
     WindowExceedsSeries,
     admissible_delta_bound,
     block_mean_variances,
     classify_lrd_variance,
-    ols_slope,
     replication_seed,
     simulate_fgn,
     variance_plot_slope,
 )
 from lrdetect.excursion import draw_levels, excursion_rows
+from lrdetect.series import WindowGrid
 from oracles import autocovariance_vector, exact_mean_variance, naive_block_variances
 
 
 def fit_with_slope(slope):
-    # exact-slope fixture: the two-point design reproduces the slope verbatim
-    return ols_slope([0.0, 1.0], [0.0, slope])
+    return RegressionFit(slope)
+
+
+def _one_window_fit(xs, ys):
+    """The kernel's fit of ys on xs over one window holding every point."""
+    [(_, slopes)] = WindowGrid(xs, [(0, len(xs) - 1)]).slope_blocks([ys])
+    return RegressionFit(float(slopes[0, 0]))
 
 
 def test_block_variance_hand_example():
@@ -95,7 +101,7 @@ def test_block_variances_match_naive_oracle_at_every_length(kind):
 
 def test_injected_power_law_recovers_slope():
     lengths = np.arange(1, 51)
-    fit = ols_slope(np.log(lengths), np.log(3.7 * lengths ** -0.6))
+    fit = _one_window_fit(np.log(lengths), np.log(3.7 * lengths ** -0.6))
     assert abs(fit.slope - (-0.6)) < 1e-10
 
 
