@@ -21,7 +21,8 @@ from .errors import OverflowValue, echo
 _CSV_CHUNK = 1 << 16
 _CSV_SLICE = 20 * _CSV_CHUNK
 # Elements that bound one block of window weights and of its boolean membership
-# (segments x windows), and of slopes, NaN where a window is unusable (rows x windows).
+# (segments x windows; the weights hold up to twice as many, where segments'
+# moments count), and of slopes, NaN where a window is unusable (rows x windows).
 _CHUNK = 1 << 16
 
 
@@ -101,8 +102,13 @@ class WindowGrid:
 
     The (segments x windows) weight blocks, at most ``_CHUNK`` elements each,
     are built once, here, and serve every call, each beside its boolean
-    membership, which segments make up each window.  Membership alone decides
-    which windows a non-finite value makes unusable (NaN slopes): a weight can be zero.
+    membership, which segments make up each window.  A block's weights are
+    divided by its windows' Sxx_w when it is built, and each segment of
+    several points, whose C_s counts, has its membership row, divided the
+    same way, stacked right after its weight row; a row's terms hold Y_s and
+    such C_s in the same order.  A block of slopes is then one product.
+    Membership alone decides which windows a non-finite value makes unusable
+    (NaN slopes): a weight can be zero.
     """
 
     def __init__(self, xs, windows):
@@ -119,14 +125,18 @@ class WindowGrid:
         first, stop = np.searchsorted(cuts, starts), np.searchsorted(cuts, stops)
         anchors = xs[cuts[:-1]]
         self._offsets = xs[self._span] - np.repeat(anchors, sizes)
-        self._spread = bool(np.any(sizes > 1))
+        several = sizes > 1
+        self._spread = bool(several.any())
+        # a row's terms, slot by slot: each segment's Y_s, then its C_s where the
+        # segment holds several points (a one-point segment's C_s is 0)
+        self._slots = np.concatenate(([0], np.cumsum(1 + several)))
+        self._several = np.flatnonzero(several)
 
         sums = np.add.reduceat(self._offsets, self._cuts)
         squares = np.add.reduceat(self._offsets * self._offsets, self._cuts)
         sizes = sizes.astype(np.float64)
         counts = (stops - starts).astype(np.float64)
-        self._sxx = np.empty(self.size)
-        # (window slice, segment slice, weights, membership)
+        # (window slice, segment slice, weights over Sxx, membership)
         self._blocks = []
         step = max(1, _CHUNK // self._cuts.size)
         for start in range(0, self.size, step):
@@ -145,7 +155,15 @@ class WindowGrid:
             weights = np.subtract(anchors[segs, None], mean, out=block)
             weights -= residual
             weights *= inside
-            self._sxx[cols] = offset_squares + 2.0 * (sums[segs] @ weights) + sizes[segs] @ (weights * weights)
+            sxx = offset_squares + 2.0 * (sums[segs] @ weights) + sizes[segs] @ (weights * weights)
+            weights /= sxx
+            if self._spread:
+                # the slot of each Y_s takes its weight, and the next slot, where C_s counts, its membership
+                slots = self._slots[segs] - self._slots[segs.start]
+                stacked = np.zeros((self._slots[segs.stop] - self._slots[segs.start], weights.shape[1]))
+                stacked[slots] = weights
+                stacked[slots[several[segs]] + 1] = inside[several[segs]] / sxx
+                weights = stacked
             self._blocks.append((cols, segs, weights, inside))
 
     def slope_blocks(self, ys):
@@ -153,32 +171,38 @@ class WindowGrid:
 
         A window is unusable in a row when its membership meets a non-finite
         value of the row, the rule ``_log_curve_slope`` applies to one window.
-        Its slope there is NaN, the one mark of an unusable window.
+        Its slope there is NaN, the one mark of an unusable window.  Only the
+        segments that hold a non-finite value enter the product that finds
+        these windows: rows' hit counts times membership, exact in floats.
         """
         values = np.asarray(ys, dtype=np.float64)[:, self._span]
         bad = ~np.isfinite(values)
-        hits = None
+        touched = np.empty(0, dtype=np.int64)
         if bad.any():
             values = np.where(bad, 0.0, values)
             # each row's non-finite values per segment: small integers, exact in any product
             hits = np.add.reduceat(bad, self._cuts, axis=1, dtype=np.float64)
-        sums = np.add.reduceat(values, self._cuts, axis=1)
+            touched = np.flatnonzero(hits.any(axis=0))
+        terms = sums = np.add.reduceat(values, self._cuts, axis=1)
         if self._spread:
+            terms = np.empty((values.shape[0], self._slots[-1]))
+            terms[:, self._slots[:-1]] = sums
             moments = np.add.reduceat(values * self._offsets, self._cuts, axis=1)
+            terms[:, self._slots[self._several] + 1] = moments[:, self._several]
         # a block of slopes holds at most _CHUNK elements too
         step = max(1, _CHUNK // max(self._cuts.size, values.shape[0]))
         for cols, segs, weights, inside in self._blocks:
+            block_terms = terms[:, self._slots[segs.start] : self._slots[segs.stop]]
+            marked = touched[(touched >= segs.start) & (touched < segs.stop)]
+            if marked.size:
+                members = inside[marked - segs.start].astype(np.float64)
+                marks = hits[:, marked]
             for start in range(cols.start, cols.stop, step):
                 window = slice(start, min(start + step, cols.stop))
                 part = slice(window.start - cols.start, window.stop - cols.start)
-                slopes = sums[:, segs] @ weights[:, part]
-                if self._spread or hits is not None:
-                    members = inside[:, part].astype(np.float64)
-                if self._spread:
-                    slopes += moments[:, segs] @ members
-                slopes /= self._sxx[window]
-                if hits is not None:
-                    slopes[hits[:, segs] @ members > 0.0] = np.nan
+                slopes = block_terms @ weights[:, part]
+                if marked.size:
+                    slopes[marks @ members[:, part] > 0.0] = np.nan
                 yield window, slopes
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import numbers
 import os
 from collections.abc import Iterable, Mapping
@@ -385,8 +386,40 @@ class StudyReports:
 
 def pool_size(workers: int, jobs: int) -> int:
     """Processes for a study pool: no more than asked for, than CPUs, or than
-    ``jobs``, the (length, Hurst value) pairs the study's tasks split into."""
+    ``jobs``, the cells (``_plan_cells``) that the study's tasks split."""
     return max(1, min(workers, os.cpu_count() or 1, jobs))
+
+
+def _plan_cells(cfg: StudyConfig, n: int) -> list[tuple[list[int], range]]:
+    """A length's plan of cells, each simulated and classified as one batch:
+    per run of consecutive Hurst values of one ground-truth class, the run's
+    Hurst indices and the first row of each of its cells.
+
+    A run's rows are its (Hurst index, replication) pairs in order; each cell
+    holds ``_CHUNK // 2n`` of them, the run's last cell may hold fewer.  The
+    plan depends on the config alone, so every cell is the same batch at
+    every worker count: a slope's bits depend on the row count of its batch.
+    """
+    grid = cfg.resolved_hurst_grid()
+    step = max(1, _CHUNK // (2 * n))
+    truths = [ground_truth_label(cfg.scenario, h) for h in grid]
+    runs = [list(run) for _, run in itertools.groupby(range(len(grid)), key=truths.__getitem__)]
+    return [(run, range(0, len(run) * cfg.replications, step)) for run in runs]
+
+
+def _cells(cfg: StudyConfig, n: int, part: int, parts: int):
+    """Cells part, part + parts, part + 2 parts, ... of a length's plan
+    (``_plan_cells``), made one at a time: each a tuple of (Hurst index,
+    first, stop) pieces, replications first..stop - 1 of that Hurst value."""
+    reps, index = cfg.replications, 0
+    for run, starts in _plan_cells(cfg, n):
+        for start in starts[(part - index) % parts :: parts]:
+            stop = min(start + starts.step, len(run) * reps)
+            yield tuple(
+                (run[i], max(start - i * reps, 0), min(stop - i * reps, reps))
+                for i in range(start // reps, (stop - 1) // reps + 1)
+            )
+        index += len(starts)
 
 
 def _tally(grid: WindowGrid, logs: np.ndarray, threshold: float) -> np.ndarray:
@@ -405,64 +438,74 @@ def _tally(grid: WindowGrid, logs: np.ndarray, threshold: float) -> np.ndarray:
 
 def _count_cells(cfg: StudyConfig, levels: QuantileMeasure | None, task) -> tuple[np.ndarray, np.ndarray]:
     """The variance and GPH count rows of one task, tp, fp, tn, fn and skips
-    per window: the labels of every replication of the Hurst values
-    ``h_indices`` at length n, a NaN slope counting as a skip.
+    per window: the labels of every replication in the task's cells
+    (``_cells``) at length n, a NaN slope counting as a skip.
 
     A length's variance windows regress log S_l^2 on log l over block lengths
     lmin..lmax, and its GPH windows regress log I(lambda_j) on -2 log lambda_j
     over frequency indices 1..n-1.  The task builds the two WindowGrids once
-    and frees them when it returns.  Its replications run in cells of at most
-    ``_CHUNK // 2n`` rows of one Hurst value, each simulated and classified as
-    one batch.
+    and frees them when it returns.  A cell simulates each of its Hurst
+    values' rows with that value's embedding and stacks them; block
+    variances, ordinates and both tallies then run once on the stack, whose
+    rows share one ground truth.
     """
-    n, var_grid, gph_grid, h_indices = task
+    n, var_grid, gph_grid, part, parts = task
     lmin, lmax = int(var_grid[:, 0].min()), int(var_grid[:, 1].max())
     variance = WindowGrid(np.log(np.arange(lmin, lmax + 1, dtype=np.float64)), var_grid - lmin)
     gph = WindowGrid(gph_regressors(np.arange(1, n), n), gph_grid - 1)
     counts = tuple(np.zeros((5, len(grid)), dtype=np.int64) for grid in (var_grid, gph_grid))
     hurst_grid = cfg.resolved_hurst_grid()
-    step = max(1, _CHUNK // (2 * n))
-    for h_index in h_indices:
-        hurst = hurst_grid[h_index]
-        rows_by_label = _ROWS_BY_TRUTH[ground_truth_label(cfg.scenario, hurst) == "LRD"]
-        for first in range(0, cfg.replications, step):
-            stop = min(first + step, cfg.replications)
-            seeds = _seed_hash(cfg.master_seed, _SCENARIO_CODE[cfg.scenario], h_index, np.arange(first, stop))
-            rows = simulate_fgn_paths(FgnParams(hurst=hurst, n=n), seeds)
-            if levels is not None:
-                # exp(y^2 / (2 alpha)) rises strictly with y^2 and the transform is invariant
-                # under strictly increasing maps, so y^2 gives every alpha's labels without overflow
-                rows = excursion_rows(rows * rows, levels)
-            # zero block variances and ordinates become -inf: their windows are skips
-            with np.errstate(divide="ignore"):
-                var_logs = np.log(block_variance_rows(rows, lmin, lmax))
-                gph_logs = np.log(ordinate_rows(rows)[:, 1:])
-            counts[0][rows_by_label] += _tally(variance, var_logs, VARIANCE_LRD_THRESHOLD)
-            counts[1][rows_by_label] += _tally(gph, gph_logs, GPH_LRD_THRESHOLD)
-            del rows, var_logs, gph_logs  # freed before the next cell simulates
+    for cell in _cells(cfg, n, part, parts):
+        rows_by_label = _ROWS_BY_TRUTH[ground_truth_label(cfg.scenario, hurst_grid[cell[0][0]]) == "LRD"]
+        rows = np.vstack(
+            [
+                simulate_fgn_paths(
+                    FgnParams(hurst=hurst_grid[h_index], n=n),
+                    _seed_hash(cfg.master_seed, _SCENARIO_CODE[cfg.scenario], h_index, np.arange(first, stop)),
+                )
+                for h_index, first, stop in cell
+            ]
+        )
+        if levels is not None:
+            # exp(y^2 / (2 alpha)) rises strictly with y^2 and the transform is invariant
+            # under strictly increasing maps, so y^2 gives every alpha's labels without overflow
+            rows = excursion_rows(rows * rows, levels)
+        # zero block variances and ordinates become -inf: their windows are skips
+        with np.errstate(divide="ignore"):
+            var_logs = np.log(block_variance_rows(rows, lmin, lmax))
+            gph_logs = np.log(ordinate_rows(rows)[:, 1:])
+        counts[0][rows_by_label] += _tally(variance, var_logs, VARIANCE_LRD_THRESHOLD)
+        counts[1][rows_by_label] += _tally(gph, gph_logs, GPH_LRD_THRESHOLD)
+        del rows, var_logs, gph_logs  # freed before the next cell simulates
     return counts
+
+
+def _study_tasks(cfg: StudyConfig, grids: dict) -> tuple[int, list[tuple]]:
+    """The pool size of a study and its tasks, (n, variance grid, GPH grid,
+    part, parts): a length's cells dealt round-robin, whole, to at most one
+    task per pool process, task ``part`` taking ``_cells(cfg, n, part, parts)``."""
+    counts = {n: sum(len(starts) for _, starts in _plan_cells(cfg, n)) for n in cfg.lengths}
+    size = pool_size(cfg.workers, sum(counts.values()))
+    return size, [(n, *grids[n], part, size) for n in cfg.lengths for part in range(min(size, counts[n]))]
 
 
 def run_study(cfg: StudyConfig) -> StudyReports:
     """Run the full grid and return one report per (estimator, cutoff, length),
     as the count columns of a ``StudyReports`` table; no report object is built.
 
-    The work splits into tasks of one length each, and with ``cfg.workers > 1``
-    a length's Hurst values are dealt round-robin to as many tasks as the
-    process pool has processes.  Each (length, estimator) report block is
-    built once, rows n1 and n2 from its grid, and every task's integer count
-    rows add into it, so output is identical for every worker count.
+    Each length's replications are planned as cells (``_plan_cells``), the
+    same at every worker count.  The work splits into tasks of one length
+    each, and with ``cfg.workers > 1`` a length's cells are dealt round-robin
+    to as many tasks as the process pool has processes.  Each (length,
+    estimator) report block is built once, rows n1 and n2 from its grid, and
+    every task's integer count rows add into it, so output is identical for
+    every worker count.
     """
     levels = None
     if cfg.scenario == "subordinated-fgn":
         levels = draw_levels(cfg.psi, cfg.resolved_level_seed())
-    hurst_count = len(cfg.resolved_hurst_grid())
     grids = {n: cfg.grids_for(n) for n in cfg.lengths}
-    size = pool_size(cfg.workers, len(cfg.lengths) * hurst_count)
-    # every Hurst value has the same cells, so dealing them out balances the tasks
-    tasks = [
-        (n, *grids[n], range(part, hurst_count, size)) for n in cfg.lengths for part in range(min(size, hurst_count))
-    ]
+    size, tasks = _study_tasks(cfg, grids)
     count = partial(_count_cells, cfg, levels)
     if size == 1:
         counted = map(count, tasks)

@@ -151,9 +151,15 @@ def test_flags_follow_nonfinite_values_across_blocks(monkeypatch):
         xs = np.log(np.arange(1.0, n + 1.0))
         ys = np.random.default_rng(5).standard_normal((30, n))
         ys[3, 5], ys[10, 11], ys[20, 0], ys[21, 6], ys[22, 10] = -np.inf, np.nan, np.inf, -np.inf, np.nan
+        # only in the last segment, which no window of the first weight block covers
+        ys[25, n - 1] = np.inf
+        # in every segment: each window's first and last points
+        ys[26, sorted({end for window in windows for end in window})] = -np.inf
         bad = np.array([[not np.isfinite(row[a : b + 1]).all() for a, b in windows] for row in ys])
         grid = WindowGrid(xs, windows)
         assert grid._spread == spread and len(grid._blocks) > 1
+        assert max(b for _, b in windows[grid._blocks[0][0]]) < n - 1
+        assert bad[26].all() and bad[25].any() and not bad[25].all()
         blocks = 0
         for cols, slopes in grid.slope_blocks(ys):
             blocks += 1
@@ -194,19 +200,26 @@ def test_block_variance_rows_do_not_depend_on_batch_or_layout():
 
 @pytest.mark.parametrize("scenario", ["fgn", "subordinated-fgn"])
 def test_chunk_size_does_not_change_reports(monkeypatch, scenario):
-    cfg = StudyConfig(
-        scenario=scenario,
-        lengths=(60, 90),
-        replications=5,
-        master_seed=4,
-        variance_cutoffs=((1, 4), (2, 9), (1, 20), (3, 60)),
-        gph_cutoffs=((1, 12), (3, 40), (20, 59)),
-        psi=30,
-    )
-    reference = run_study(cfg)
+    # the default Hurst grid makes one cell of each truth class per length, a
+    # grid whose truth class alternates one cell of each Hurst value
+    alternating = {"fgn": (0.3, 0.6, 0.4, 0.7), "subordinated-fgn": (0.6, 0.8, 0.7, 0.9)}[scenario]
+    configs = [
+        StudyConfig(
+            scenario=scenario,
+            lengths=(60, 90),
+            replications=5,
+            master_seed=4,
+            hurst_grid=hurst_grid,
+            variance_cutoffs=((1, 4), (2, 9), (1, 20), (3, 60)),
+            gph_cutoffs=((1, 12), (3, 40), (20, 59)),
+            psi=30,
+        )
+        for hurst_grid in (None, alternating)
+    ]
+    references = [run_study(cfg) for cfg in configs]
     monkeypatch.setattr(study, "_CHUNK", 97)  # cells of one row each
     monkeypatch.setattr(series, "_CHUNK", 97)  # window grids split into many blocks
-    assert run_study(cfg) == reference
+    assert [run_study(cfg) for cfg in configs] == references
 
 
 def test_zero_variance_windows_and_constant_series_count_as_skips():

@@ -165,6 +165,40 @@ def test_run_study_deterministic_across_runs_and_workers(tmp_path, scenario):
     assert third[0].read_bytes() == reference
 
 
+@pytest.mark.parametrize("scenario", ["fgn", "subordinated-fgn"])
+def test_cells_hold_each_replication_once_in_one_truth_class(monkeypatch, scenario):
+    # classes N, L, N, L, L, L, N for fgn and N, N, N, N, L, L, N for the subordinated
+    # process; cells of 10 rows at n = 50 and of 5 at n = 90 cut through Hurst values
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    monkeypatch.setattr(study, "_CHUNK", 1000)
+    hurst_grid = (0.3, 0.6, 0.4, 0.7, 0.8, 0.9, 0.2)
+    cfg = StudyConfig(scenario, (50, 90), 23, 5, hurst_grid=hurst_grid)
+    grids = {n: cfg.grids_for(n) for n in cfg.lengths}
+    plans = {n: list(study._cells(cfg, n, 0, 1)) for n in cfg.lengths}
+    for n, cells in plans.items():
+        pairs = [(h, r) for cell in cells for h, first, stop in cell for r in range(first, stop)]
+        assert sorted(pairs) == [(h, r) for h in range(len(hurst_grid)) for r in range(23)]
+        assert all(first < stop for cell in cells for _, first, stop in cell)
+        for cell in cells:
+            assert len({ground_truth_label(scenario, hurst_grid[h]) for h, _, _ in cell}) == 1
+            assert sum(stop - first for _, first, stop in cell) <= 1000 // (2 * n)
+        assert any(len(cell) > 1 for cell in cells)  # some cell spans Hurst values
+    for workers in (1, 2, 3):
+        dealt = dataclasses.replace(cfg, workers=workers)
+        size, tasks = study._study_tasks(dealt, grids)
+        assert size == workers
+        for n, cells in plans.items():
+            assert list(study._cells(dealt, n, 0, 1)) == cells
+            split = [list(study._cells(dealt, n, *task[3:])) for task in tasks if task[0] == n]
+            assert len(split) == size
+            assert sorted((cell for part in split for cell in part), key=cells.index) == cells
+    # the plan is counted, not listed: 12 million one-row cells at the largest config
+    largest = StudyConfig(scenario, (MAX_LENGTH,), MAX_REPLICATIONS, 0, workers=4)
+    size, tasks = study._study_tasks(largest, {MAX_LENGTH: grids[50]})
+    assert size == 4 and [task[3:] for task in tasks] == [(part, 4) for part in range(4)]
+    assert next(study._cells(largest, MAX_LENGTH, 3, 4)) == ((0, 3, 4),)
+
+
 def test_subordinated_metrics_invariant_in_alpha(tmp_path):
     outputs = {}
     for alpha in (1.0, 0.5):
