@@ -21,8 +21,11 @@ _EIGENVALUE_TOL = 1e-9
 # digits to cancellation and the series expansion takes over.
 _SERIES_LAG = 16
 
-# Draws per block: raw words and the inverse CDF's temporaries stay this small.
+# Draws per block of raw words, which stay this small.
 _CHUNK = 1 << 16
+# Uniforms per block of the inverse CDF, a quarter of a study cell's 2**16
+# normals: its three scratch rows take 384 KiB, its tail temporaries less.
+_NDTRI_CHUNK = _CHUNK // 4
 
 # Longest path simulated.  Peak memory depends on how the embedding size
 # 2(n - 1) factors: one `simulate` at n = 10**7 (a prime factor 4,649) peaks
@@ -245,21 +248,23 @@ def _ndtri_tail(u: np.ndarray) -> np.ndarray:
 
 def _ndtri(u: np.ndarray) -> np.ndarray:
     """Standard normal quantiles of the uniforms in ``u`` (contiguous, in (0, 1)),
-    written over them; Cephes ndtri in C's operation order, ``_CHUNK`` at a time.
+    written over them; Cephes ndtri in C's operation order, ``_NDTRI_CHUNK`` at a time.
 
     Each block evaluates the central branch in full and its tail values by
     index, so the central branch matches scipy.special.ndtri bit for bit; the
     tails differ from it only where numpy's ``log`` differs from the C library's.
+    y = u - 1/2 is made in place in the block, so three scratch rows of one
+    block, a fixed 384 KiB at most, serve the whole call.
     """
     flat = u.reshape(-1)
-    buffers = np.empty((4, min(flat.size, _CHUNK)))
-    for start in range(0, flat.size, _CHUNK):
-        block = flat[start : start + _CHUNK]
-        y, y2, num, den = buffers[:, : block.size]
+    buffers = np.empty((3, min(flat.size, _NDTRI_CHUNK)))
+    for start in range(0, flat.size, _NDTRI_CHUNK):
+        block = flat[start : start + _NDTRI_CHUNK]
+        y2, num, den = buffers[:, : block.size]
         tails = np.flatnonzero((block <= _EXP_M2) | (block > 1.0 - _EXP_M2))
         tail_values = _ndtri_tail(block[tails])
-        # x = y + y * (y2 * P0(y2) / Q0(y2)), then sqrt(2 pi) x
-        np.subtract(block, 0.5, out=y)
+        # x = y + y * (y2 * P0(y2) / Q0(y2)) with y = u - 1/2 in the block itself, then sqrt(2 pi) x
+        y = np.subtract(block, 0.5, out=block)
         np.multiply(y, y, out=y2)
         _polevl(y2, _P0, num)
         num *= y2

@@ -20,10 +20,14 @@ from .errors import OverflowValue, echo
 # repr-printed doubles, which take 16 to 24 characters each.
 _CSV_CHUNK = 1 << 16
 _CSV_SLICE = 20 * _CSV_CHUNK
-# Elements that bound one block of window weights and of its boolean membership
-# (segments x windows; the weights hold up to twice as many, where segments'
-# moments count), and of slopes, NaN where a window is unusable (rows x windows).
+# Elements that bound one block of window weights (segments x windows; the
+# weights hold up to twice as many, where segments' moments count), and of
+# slopes, NaN where a window is unusable (rows x windows).
 _CHUNK = 1 << 16
+# Segments per tile: the windows of a weight block share the tile of their
+# first segment and that of their last, so the block spans few segments that
+# none of its windows covers.
+_TILE = 16
 
 
 @dataclass(frozen=True)
@@ -100,15 +104,19 @@ class WindowGrid:
     to ~1e-12 relative even for narrow windows far from the origin, where
     differences of prefix sums cancel catastrophically.
 
-    The (segments x windows) weight blocks, at most ``_CHUNK`` elements each,
-    are built once, here, and serve every call, each beside its boolean
-    membership, which segments make up each window.  A block's weights are
-    divided by its windows' Sxx_w when it is built, and each segment of
-    several points, whose C_s counts, has its membership row, divided the
-    same way, stacked right after its weight row; a row's terms hold Y_s and
-    such C_s in the same order.  A block of slopes is then one product.
-    Membership alone decides which windows a non-finite value makes unusable
-    (NaN slopes): a weight can be zero.
+    The (segments x windows) weight blocks are built once, here, and serve
+    every call.  Windows are grouped by the tile (``_TILE`` segments) of their
+    first segment and the tile of their last, and each group is cut into blocks
+    of at most ``_CHUNK`` (segment, window) cells, so a block spans only the
+    segments from its windows' lowest first segment to their highest last one.
+    A block's weights are divided by its windows' Sxx_w when it is built, and
+    each segment of several points, whose C_s counts, has its membership row
+    (the windows it lies in), divided the same way, stacked right after its
+    weight row; a row's terms hold Y_s and such C_s in the same order.  A
+    block of slopes is then one product.  Membership alone decides which
+    windows a non-finite value makes unusable (NaN slopes): a weight can be
+    zero.  No boolean membership is kept: a window's first and last segment
+    give it.
     """
 
     def __init__(self, xs, windows):
@@ -136,11 +144,19 @@ class WindowGrid:
         squares = np.add.reduceat(self._offsets * self._offsets, self._cuts)
         sizes = sizes.astype(np.float64)
         counts = (stops - starts).astype(np.float64)
-        # (window slice, segment slice, weights over Sxx, membership)
+        # window w spans segments first[w]..stop[w] - 1: its membership, rebuilt where needed
+        self._first, self._stop = first, stop
+        # the windows in groups of one (first tile, last tile) pair, each in window
+        # order and cut into blocks of at most _CHUNK (segment, window) cells
+        tiles = (first // _TILE) * (self._cuts.size // _TILE + 1) + (stop - 1) // _TILE
+        order = np.argsort(tiles, kind="stable")
+        windows_by_block = []
+        for group in np.split(order, np.flatnonzero(np.diff(tiles[order])) + 1):
+            step = max(1, _CHUNK // int(stop[group].max() - first[group].min()))
+            windows_by_block += [group[begin : begin + step] for begin in range(0, group.size, step)]
+        # (window indices, segment slice, weights over Sxx)
         self._blocks = []
-        step = max(1, _CHUNK // self._cuts.size)
-        for start in range(0, self.size, step):
-            cols = slice(start, min(start + step, self.size))
+        for cols in windows_by_block:
             segs = slice(int(first[cols].min()), int(stop[cols].max()))
             index = np.arange(segs.start, segs.stop)[:, None]
             inside = (index >= first[cols]) & (index < stop[cols])
@@ -164,16 +180,19 @@ class WindowGrid:
                 stacked[slots] = weights
                 stacked[slots[several[segs]] + 1] = inside[several[segs]] / sxx
                 weights = stacked
-            self._blocks.append((cols, segs, weights, inside))
+            self._blocks.append((cols, segs, weights))
 
     def slope_blocks(self, ys):
-        """Yield (window slice, slopes of every row there), one bounded block at a time.
+        """Yield (window indices, slopes of every row there), one bounded block at a
+        time; each block of slopes is written over the one before, so it is
+        read before the next is asked for.
 
         A window is unusable in a row when its membership meets a non-finite
         value of the row, the rule ``_log_curve_slope`` applies to one window.
         Its slope there is NaN, the one mark of an unusable window.  Only the
         segments that hold a non-finite value enter the product that finds
-        these windows: rows' hit counts times membership, exact in floats.
+        these windows: rows' hit counts times the membership of those segments
+        alone, rebuilt from the windows' first and last segments, exact in floats.
         """
         values = np.asarray(ys, dtype=np.float64)[:, self._span]
         bad = ~np.isfinite(values)
@@ -189,20 +208,21 @@ class WindowGrid:
             terms[:, self._slots[:-1]] = sums
             moments = np.add.reduceat(values * self._offsets, self._cuts, axis=1)
             terms[:, self._slots[self._several] + 1] = moments[:, self._several]
-        # a block of slopes holds at most _CHUNK elements too
-        step = max(1, _CHUNK // max(self._cuts.size, values.shape[0]))
-        for cols, segs, weights, inside in self._blocks:
+        # a block of slopes holds at most _CHUNK elements too, all in one buffer
+        rows = values.shape[0]
+        step = max(1, _CHUNK // max(rows, 1))
+        buffer = np.empty(rows * min(step, self.size))
+        for cols, segs, weights in self._blocks:
             block_terms = terms[:, self._slots[segs.start] : self._slots[segs.stop]]
-            marked = touched[(touched >= segs.start) & (touched < segs.stop)]
-            if marked.size:
-                members = inside[marked - segs.start].astype(np.float64)
-                marks = hits[:, marked]
-            for start in range(cols.start, cols.stop, step):
-                window = slice(start, min(start + step, cols.stop))
-                part = slice(window.start - cols.start, window.stop - cols.start)
-                slopes = block_terms @ weights[:, part]
+            low, high = touched.searchsorted((segs.start, segs.stop))
+            marked = touched[low:high]
+            for start in range(0, cols.size, step):
+                window = cols[start : start + step]
+                slopes = buffer[: rows * window.size].reshape(rows, window.size)
+                np.matmul(block_terms, weights[:, start : start + step], out=slopes)
                 if marked.size:
-                    slopes[marks @ members[:, part] > 0.0] = np.nan
+                    members = (marked[:, None] >= self._first[window]) & (marked[:, None] < self._stop[window])
+                    slopes[hits[:, marked] @ members > 0.0] = np.nan
                 yield window, slopes
 
 

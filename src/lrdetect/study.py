@@ -424,7 +424,8 @@ def _cells(cfg: StudyConfig, n: int, part: int, parts: int):
 
 def _tally(grid: WindowGrid, logs: np.ndarray, threshold: float) -> np.ndarray:
     """Three rows, how many series each window labels non-LRD, LRD and skip:
-    LRD iff slope > threshold, skip iff the slope is NaN (an unusable window)."""
+    LRD iff slope > threshold, skip iff the slope is NaN (an unusable window).
+    Each block of slopes counts into the columns of its window indices."""
     counts = np.zeros((3, grid.size), dtype=np.int64)
     skips = not np.isfinite(logs).all()  # without a non-finite log, no window is unusable
     for cols, slopes in grid.slope_blocks(logs):

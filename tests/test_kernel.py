@@ -34,6 +34,13 @@ def _slopes(grid, ys):
     return out
 
 
+def _block_holding(grid, w):
+    """The weight block (window indices, segment slice, weights) that holds
+    window ``w`` of ``grid``, and w's column there."""
+    [(block, column)] = [(block, np.flatnonzero(block[0] == w)[0]) for block in grid._blocks if w in block[0]]
+    return block, column
+
+
 def _one_window_fit(xs, ys):
     """The kernel's fit of ys on xs over one window holding every point, as
     ``_log_curve_slope`` fits an estimator's window."""
@@ -133,8 +140,8 @@ def test_window_slopes_flag_nonfinite_rows():
     # one point per segment, and window (0, 2)'s middle weight a_1 - xbar_w is
     # exactly 0: membership, not the weight, makes a value part of a window
     grid = WindowGrid([0.0, 1.0, 2.0], [(0, 1), (1, 2), (0, 2)])
-    [(_, _, weights, _)] = grid._blocks
-    assert weights[1, 2] == 0.0
+    (_, segs, weights), column = _block_holding(grid, 2)
+    assert weights[1 - segs.start, column] == 0.0
     [(_, slopes)] = grid.slope_blocks([[0.0, -np.inf, 2.0]])
     assert np.all(np.isnan(slopes))
 
@@ -158,16 +165,63 @@ def test_flags_follow_nonfinite_values_across_blocks(monkeypatch):
         bad = np.array([[not np.isfinite(row[a : b + 1]).all() for a, b in windows] for row in ys])
         grid = WindowGrid(xs, windows)
         assert grid._spread == spread and len(grid._blocks) > 1
-        assert max(b for _, b in windows[grid._blocks[0][0]]) < n - 1
+        # the block of window 0 holds no window that reaches the last point
+        (cols, _, _), _ = _block_holding(grid, 0)
+        assert max(windows[w][1] for w in cols) < n - 1
         assert bad[26].all() and bad[25].any() and not bad[25].all()
         blocks = 0
         for cols, slopes in grid.slope_blocks(ys):
             blocks += 1
             assert np.array_equal(np.isnan(slopes), bad[:, cols])
             for r, w in zip(*np.nonzero(~bad[:, cols])):
-                (a, b), slope = windows[cols.start + w], slopes[r, w]
+                (a, b), slope = windows[cols[w]], slopes[r, w]
                 assert slope == pytest.approx(oracles.ols_slope(xs[a : b + 1], ys[r, a : b + 1]), rel=1e-10)
         assert blocks == len(windows)
+
+
+@pytest.mark.parametrize("spread", [False, True])
+def test_tiled_blocks_cover_each_window_once_over_its_hull(monkeypatch, spread):
+    # tiles of 3 segments and blocks of a few windows: many windows' first and last
+    # segments lie in different tiles, and a tile pair's windows fill several blocks
+    monkeypatch.setattr(series, "_TILE", 3)
+    monkeypatch.setattr(series, "_CHUNK", 60)
+    rng = np.random.default_rng(17)
+    n = 40
+    points = np.sort(rng.choice(n + 1, size=12, replace=False))
+    pairs = [(a, b) for i, a in enumerate(points) for b in points[i + 1 :] if b - a >= 2]
+    windows = [(int(a), int(b) - 1) for a, b in (pairs[i] for i in rng.choice(len(pairs), size=60, replace=False))]
+    if not spread:
+        windows += [(a, a + 1) for a in range(n - 1)]  # every point its own segment
+    xs = np.log(np.arange(1.0, n + 1.0))
+    grid = WindowGrid(xs, windows)
+    assert grid._spread == spread
+    # the segments, cut at every window's start and past its end
+    cuts = sorted({a for a, _ in windows} | {b + 1 for _, b in windows})
+    first = [cuts.index(a) for a, _ in windows]
+    last = [cuts.index(b + 1) - 1 for _, b in windows]
+
+    held = np.concatenate([cols for cols, _, _ in grid._blocks])
+    assert sorted(held.tolist()) == list(range(len(windows)))
+    crossing = 0
+    for cols, segs, _ in grid._blocks:
+        assert (segs.start, segs.stop - 1) == (min(first[w] for w in cols), max(last[w] for w in cols))
+        assert len({(first[w] // 3, last[w] // 3) for w in cols}) == 1
+        crossing += first[cols[0]] // 3 != last[cols[0]] // 3
+    assert crossing > 1
+
+    ys = rng.standard_normal((25, n))
+    for row in range(1, 25):
+        ys[row, rng.choice(n, size=row % 4 + 1, replace=False)] = rng.choice([np.inf, -np.inf, np.nan])
+    bad = np.array([[not np.isfinite(row[a : b + 1]).all() for a, b in windows] for row in ys])
+    assert bad.any() and not bad.all()
+    yielded = []
+    for cols, slopes in grid.slope_blocks(ys):
+        yielded += cols.tolist()
+        assert np.array_equal(np.isnan(slopes), bad[:, cols])
+        for r, w in zip(*np.nonzero(~bad[:, cols])):
+            (a, b), slope = windows[cols[w]], slopes[r, w]
+            assert slope == pytest.approx(oracles.ols_slope(xs[a : b + 1], ys[r, a : b + 1]), rel=1e-10)
+    assert sorted(yielded) == list(range(len(windows)))
 
 
 def test_batched_rows_match_per_series_functions():

@@ -17,7 +17,7 @@ from lrdetect import (
     run_study,
     write_series_csv,
 )
-from lrdetect.fgn import _embedding_amplitudes, simulate_fgn_paths, uniform_draws
+from lrdetect.fgn import _embedding_amplitudes, _ndtri, simulate_fgn_paths, uniform_draws
 from lrdetect.gph import gph_regressors
 from lrdetect.series import WindowGrid
 from lrdetect.varplot import block_variance_rows
@@ -51,6 +51,10 @@ def test_simulation_holds_few_arrays():
     _embedding_amplitudes(params)  # cached, as after a process's first path
     # the draws and the half spectrum, then the spectrum and the transform: 4.0 measured
     assert _peak_arrays(simulate_fgn_paths, params, [3]) <= 4.25
+    # the inverse CDF turns the 2(n - 1) draws into normals in place, beside three
+    # scratch rows and the tail values of one block of 2**14: 0.36 measured
+    # (four scratch rows of a 2**16 block: 1.68)
+    assert _peak_arrays(_ndtri, uniform_draws([3], 2 * (N - 1))) <= 0.4
 
 
 def test_uniform_draws_hold_one_block_of_raw_words():
@@ -90,8 +94,8 @@ def test_study_reports_retain_few_bytes_per_window():
     assert retained / len(reports) <= 72
 
 
-def _grid_bytes_per_cell(n: int) -> float:
-    """Bytes a WindowGrid of the default GPH grid at length n retains per (segment, window) cell."""
+def _grid_bytes_per_window(n: int) -> float:
+    """Bytes a WindowGrid of the default GPH grid at length n retains per window."""
     xs, windows = gph_regressors(np.arange(1, n), n), np.asarray(default_gph_grid(n)) - 1
     tracemalloc.start()
     try:
@@ -100,17 +104,17 @@ def _grid_bytes_per_cell(n: int) -> float:
         retained = tracemalloc.get_traced_memory()[0] - live
     finally:
         tracemalloc.stop()
-    return retained / sum(inside.size for _, _, _, inside in grid._blocks)
+    return retained / grid.size
 
 
-def test_window_grid_retains_few_bytes_per_block_cell():
-    # float64 weights and a bool membership per (segment, window) cell: 9.02
-    # bytes measured (a float64 membership would make 16)
-    assert _grid_bytes_per_cell(100) <= 10
+def test_window_grid_retains_few_bytes_per_window():
+    # one point per segment; blocks of one (first tile, last tile) pair hold
+    # float64 weights over their windows' segments only: 411.7 bytes measured
+    # (one block over each run of windows with a bool membership beside it: 649.5)
+    assert _grid_bytes_per_window(100) <= 450
 
 
-def test_window_grid_with_several_point_segments_retains_few_bytes_per_block_cell():
-    # each segment of several points adds a float64 membership row over Sxx, which
-    # weighs its moments; about half the segments hold one point: 13.08 bytes
-    # measured (a membership row for every segment: 17.06)
-    assert _grid_bytes_per_cell(500) <= 13.5
+def test_window_grid_with_several_point_segments_retains_few_bytes_per_window():
+    # each segment of several points adds a weight row for its moments: 653.9
+    # bytes measured (one block over each run of windows with a bool membership beside it: 1144.8)
+    assert _grid_bytes_per_window(500) <= 720
